@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .homology import FieldSpec, betti
-from .simplicial import PrismComplex, close_downward
+from .simplicial import ComplexError, PrismComplex, close_downward
 
 
 class CerfError(ValueError):
@@ -113,18 +113,17 @@ def _reduced_betti_nonzero_degree(simplices, fieldspec: FieldSpec):
 
 def fiber_critical_vertices(p: PrismComplex, i: int,
                             fieldspec: FieldSpec = FieldSpec()):
-    """PL-critical vertices of fiber i with values and index labels."""
-    fiber = p.fiber_simplices(i)
-    verts = sorted({s[0][1] for s in fiber if len(s) == 1})
+    """PL-critical vertices of fiber i with values and index labels.
+
+    The fiber {t_i} x X is the base complex under (i, v) -> v, so lower
+    links are read off the base's vertex links.
+    """
+    if not 0 <= i < p.n_times:
+        raise ComplexError(f"time index {i} out of range")
     out = []
-    for v in verts:
+    for v in range(p.base.n_vertices):
         key = (p.vertex_level[(i, v)], v)
-        link = set()
-        for s in fiber:
-            if (i, v) in s and len(s) > 1:
-                t = tuple(w for w in s if w != (i, v))
-                link.add(tuple(w[1] for w in t))
-        lower = [s for s in link
+        lower = [s for s in p.base.link(v)
                  if all((p.vertex_level[(i, w)], w) < key for w in s)]
         lower_cx = close_downward(lower) if lower else frozenset()
         deg = _reduced_betti_nonzero_degree(lower_cx, fieldspec)

@@ -33,6 +33,16 @@ EXIT_IO = 2
 EXIT_PRECONDITION = 3
 
 
+def _example_size(name: str, arg: str, default: int) -> int:
+    if not arg:
+        return default
+    try:
+        return int(arg)
+    except ValueError:
+        raise IOFormatError(
+            f"example {name!r}: size {arg!r} is not an integer") from None
+
+
 def _example_family(name: str) -> PLFamily:
     base, _, arg = name.partition(":")
     if base == "hat" and not arg:
@@ -40,9 +50,9 @@ def _example_family(name: str) -> PLFamily:
     if base == "wrinkled-cylinder" and not arg:
         return wrinkled_cylinder_family()
     if base == "zigzag":
-        return zigzag_family(int(arg) if arg else 3)
+        return zigzag_family(_example_size(name, arg, 3))
     if base == "cylinder":
-        return cylinder_family(int(arg) if arg else 8)
+        return cylinder_family(_example_size(name, arg, 8))
     raise IOFormatError(
         f"unknown example {name!r}; available: hat, zigzag:n, cylinder:k, "
         "wrinkled-cylinder")

@@ -32,10 +32,6 @@ class PLFamily:
     def to_prism(self) -> PrismComplex:
         return build_prism(self.base, self.time_breakpoints, self.vertex_values)
 
-    def sup_norm_bound(self) -> Fraction:
-        return max((abs(v) for row in self.vertex_values for v in row),
-                   default=Fraction(0))
-
     def shifted(self, offsets) -> "PLFamily":
         """Add per-vertex offsets: offsets[i][v] or a single constant."""
         if isinstance(offsets, (int, Fraction)):

@@ -1,16 +1,19 @@
 """Exact simplicial homology over small prime fields.
 
-Betti numbers come from boundary-matrix ranks (dense elimination mod p);
-ranks of inclusion-induced maps come from a two-stage persistence column
-reduction.  Both paths are exact: matrices hold integers mod p throughout.
+One sparse persistence column reduction over GF(p) serves every query:
+``staged_reduce`` turns a staged filtration into a barcode, the rank of
+an inclusion-induced map counts the essential bars born in the
+subcomplex, and a Betti number is the rank of the identity map.
+Coefficients stay integers mod p throughout, so results are exact.  The
+reduction rejects a face that is missing or listed after its coface, which
+is how ``betti`` and ``induced_rank`` check that their input is downward
+closed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 
 class HomologyError(ValueError):
@@ -45,7 +48,6 @@ class FieldSpec:
 class Barcode:
     """Bars of a staged filtration: (birth stage, death stage or None) per degree."""
 
-    max_stage: int
     bars: dict = field(default_factory=dict)  # degree -> list of (birth, death|None)
 
     def add(self, degree: int, birth: int, death):
@@ -59,96 +61,19 @@ class Barcode:
         return [(b, d) for b, d in self.bars.get(degree, ()) if d is None]
 
 
-def _check_closed(simplices: frozenset):
-    from .simplicial import is_downward_closed
-
-    if not is_downward_closed(simplices):
-        raise HomologyError("simplex set is not downward closed")
-
-
-def _rank_mod_p(M: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix mod p by Gaussian elimination."""
-    A = np.array(M, dtype=np.int64) % p
-    rows, cols = A.shape
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if A[r, col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank] = (A[rank] * inv) % p
-        mask = A[rank + 1:, col] % p != 0
-        if mask.any():
-            factors = A[rank + 1:, col][mask][:, None]
-            A[rank + 1:][mask] = (A[rank + 1:][mask] - factors * A[rank][None, :]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def boundary_matrix(simplices: frozenset, j: int) -> np.ndarray:
-    """The degree-j boundary matrix with integer entries (+-1)."""
-    js = sorted(s for s in simplices if len(s) == j + 1)
-    faces_ = sorted(s for s in simplices if len(s) == j)
-    idx = {s: i for i, s in enumerate(faces_)}
-    M = np.zeros((len(faces_), len(js)), dtype=np.int64)
-    for col, s in enumerate(js):
-        for k in range(len(s)):
-            f = s[:k] + s[k + 1:]
-            if f:
-                M[idx[f], col] = (-1) ** k
-    return M
-
-
-def betti(simplices: frozenset, j: int, fieldspec: FieldSpec = FieldSpec()) -> int:
-    """dim_GF(p) H_j of a downward-closed simplex set (unreduced homology)."""
-    if j < 0:
-        return 0
-    _check_closed(simplices)
-    n_j = sum(1 for s in simplices if len(s) == j + 1)
-    if n_j == 0:
-        return 0
-    p = fieldspec.characteristic
-    rank_dj = _rank_mod_p(boundary_matrix(simplices, j), p) if j > 0 else 0
-    rank_dj1 = _rank_mod_p(boundary_matrix(simplices, j + 1), p)
-    return n_j - rank_dj - rank_dj1
-
-
 def _low(col: dict) -> int:
     return max(col) if col else -1
 
 
-def _reduce_columns(columns: list, p: int, clearing: bool, dims: list) -> dict:
+def _reduce_columns(columns: list, p: int) -> dict:
     """Persistence column reduction; returns {death column -> birth column}.
 
-    ``columns`` are boundary columns as {row index: coeff}; the filtration
-    order is the list order.  With ``clearing`` the reduction runs by
-    decreasing simplex dimension and zeroes columns known to be birth
-    columns of already-found pairs; barcodes are identical either way.
+    ``columns`` are boundary columns as {row index: coeff}, reduced in list
+    order, which is the filtration order.
     """
     pairs = {}
     pivot_of = {}  # low row -> column index owning it
-
-    order: Iterable[int]
-    if clearing:
-        byd = {}
-        for idx, d in enumerate(dims):
-            byd.setdefault(d, []).append(idx)
-        order = [i for d in sorted(byd, reverse=True) for i in byd[d]]
-    else:
-        order = range(len(columns))
-
-    for j in order:
-        if clearing and j in pairs.values():
-            columns[j] = {}
-            continue
-        col = columns[j]
+    for j, col in enumerate(columns):
         while col:
             low = _low(col)
             k = pivot_of.get(low)
@@ -168,8 +93,8 @@ def _reduce_columns(columns: list, p: int, clearing: bool, dims: list) -> dict:
     return pairs
 
 
-def staged_reduce(filtration: Sequence, fieldspec: FieldSpec = FieldSpec(),
-                  clearing: bool = False) -> Barcode:
+def staged_reduce(filtration: Sequence,
+                  fieldspec: FieldSpec = FieldSpec()) -> Barcode:
     """Barcode of a staged filtration.
 
     ``filtration`` is an ordered list of (simplex, stage) with faces before
@@ -200,9 +125,8 @@ def staged_reduce(filtration: Sequence, fieldspec: FieldSpec = FieldSpec(),
         columns.append(col)
     dims = [len(s) - 1 for s in simplices]
 
-    pairs = _reduce_columns(columns, p, clearing, dims)
-    max_stage = stages[-1] if stages else 0
-    bc = Barcode(max_stage=max_stage)
+    pairs = _reduce_columns(columns, p)
+    bc = Barcode()
     dead_births = set()
     for death, birth in pairs.items():
         dead_births.add(birth)
@@ -225,13 +149,18 @@ def induced_rank(sub: frozenset, sup: frozenset, j: int,
     """Rank of H_j(sub) -> H_j(sup) induced by inclusion.
 
     Two-stage filtration (sub, then sup minus sub): the rank equals the
-    number of degree-j classes born in stage 0 that never die.
+    number of degree-j classes born in stage 0 that never die.  Raises
+    HomologyError unless both sets are downward closed.
     """
     if not sub <= sup:
         raise HomologyError("sub must be contained in sup")
-    _check_closed(sub)
-    _check_closed(sup)
+    bc = staged_reduce(_staged_filtration(sub, sup), fieldspec)
     if j < 0:
         return 0
-    bc = staged_reduce(_staged_filtration(sub, sup), fieldspec)
     return sum(1 for b, d in bc.essential(j) if b == 0)
+
+
+def betti(simplices: frozenset, j: int, fieldspec: FieldSpec = FieldSpec()) -> int:
+    """dim_GF(p) H_j of a downward-closed simplex set (unreduced homology):
+    the rank of the identity map, every simplex at stage 0."""
+    return induced_rank(simplices, simplices, j, fieldspec)

@@ -45,6 +45,15 @@ def family_from_json_dict(data) -> PLFamily:
                        for row in data["vertex_values"])
     except (KeyError, TypeError, ValueError, ComplexError) as exc:
         raise IOFormatError(f"bad family description: {exc}") from exc
+    if len(values) != len(times):
+        raise IOFormatError(
+            f"bad family description: {len(values)} vertex_values rows for "
+            f"{len(times)} time breakpoints")
+    for i, row in enumerate(values):
+        if len(row) != n:
+            raise IOFormatError(
+                f"bad family description: vertex_values row {i} has "
+                f"{len(row)} values for {n} vertices")
     return PLFamily(base=base, time_breakpoints=times, vertex_values=values)
 
 

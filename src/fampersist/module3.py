@@ -53,10 +53,6 @@ class IntervalSummand:
 
     support: frozenset  # of Point
 
-    def min_points(self) -> List[Point]:
-        return sorted(p for p in self.support
-                      if not any(q != p and _leq(q, p) for q in self.support))
-
 
 @dataclass
 class Module3:

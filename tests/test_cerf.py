@@ -7,7 +7,7 @@ from fampersist.cerf import (AmbiguityError, CerfError, CobordismClass,
                              fiber_critical_vertices, trace_cerf)
 from fampersist.family import (PLFamily, cylinder_family, hat_family,
                                point_family, wrinkled_cylinder_family)
-from fampersist.simplicial import SimplicialComplex, build_prism
+from fampersist.simplicial import ComplexError, SimplicialComplex, build_prism
 
 
 def reversed_family(fam: PLFamily) -> PLFamily:
@@ -36,6 +36,12 @@ class TestFiberCritical:
             crits = fiber_critical_vertices(prism, i)
             assert [(cv.value, cv.index) for cv in crits] == \
                 [(F(0), 0), (F(4), 1)]
+
+    def test_time_index_out_of_range(self):
+        prism = hat_family(4).to_prism()
+        for i in (-1, prism.n_times):
+            with pytest.raises(ComplexError):
+                fiber_critical_vertices(prism, i)
 
 
 class TestTraceCerf:

@@ -57,6 +57,15 @@ class TestModuleCommand:
         code, _, err = run(capsys, "module", "--example", "torus")
         assert code == 2 and "unknown example" in err
 
+    @pytest.mark.parametrize("name", ["zigzag:abc", "cylinder:x"])
+    def test_non_integer_example_size(self, capsys, name):
+        code, _, err = run(capsys, "module", "--example", name)
+        assert code == 2 and "not an integer" in err
+
+    def test_out_of_range_example_size(self, capsys):
+        code, _, _ = run(capsys, "module", "--example", "zigzag:0")
+        assert code == 3
+
     def test_missing_source(self, capsys):
         code, _, _ = run(capsys, "module")
         assert code == 2
@@ -84,6 +93,21 @@ class TestModuleCommand:
         path.write_text("{not json")
         code, _, _ = run(capsys, "module", "--family", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("rows", [
+        [["0", "1", "0"], ["1", "0", "1"]],  # two rows, three breakpoints
+        [["0", "1", "0"], ["1", "0"], ["0", "1", "0"]],  # short row
+        [["0", "1", "0"], ["1", "0", "1", "2"], ["0", "1", "0"]],  # long row
+    ])
+    def test_vertex_values_shape_mismatch(self, capsys, tmp_path, rows):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({
+            "base": {"vertices": 3, "simplices": [[0, 1], [1, 2]]},
+            "time_breakpoints": ["0", "1/2", "1"],
+            "vertex_values": rows,
+        }))
+        code, _, err = run(capsys, "module", "--family", str(path))
+        assert code == 2 and "vertex_values" in err
 
 
 class TestCerfCommand:
