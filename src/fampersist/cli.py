@@ -77,19 +77,25 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise IOFormatError(str(exc)) from None
+
+
 def _parse_triple(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise IOFormatError(f"expected a,b,c; got {text!r}")
-    return tuple(parse_rational(p.strip()) for p in parts)
+    return tuple(_rational(p) for p in parts)
 
 
 def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise IOFormatError(f"expected low:high; got {text!r}")
-    lo, hi = (parse_rational(p.strip()) for p in parts)
-    return lo, hi
+    return tuple(_rational(p) for p in parts)
 
 
 # ----- commands -------------------------------------------------------------
@@ -176,7 +182,7 @@ def cmd_stability(args) -> int:
     if args.epsilon == "auto":
         epsilon = sup_distance(fam, other)
     else:
-        epsilon = Fraction(parse_rational(args.epsilon))
+        epsilon = _rational(args.epsilon)
     mf = build_module(fam.to_prism(), args.degree, fieldspec)
     mg = build_module(other.to_prism(), args.degree, fieldspec)
     report = check_interleaving_necessary(mf, mg, epsilon)

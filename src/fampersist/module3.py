@@ -97,23 +97,29 @@ class Module3:
     def edge_rank(self, x: Point, y: Point) -> int:
         return self.edge_ranks.get((x, y), 0)
 
-    def rank(self, x: Point, y: Point) -> int:
-        """Rank of the structure map x -> y, computed on the complexes.
+    def slab(self, point: Point) -> frozenset:
+        """Simplices of the prism slab at a grid point."""
+        if self.prism is None:
+            raise ModuleError(f"the slab at {point} needs the source complex")
+        i, j, k = point
+        return slab_sublevel(self.prism, i, j, self.level_values[k]).simplices
 
-        Composing edge ranks only bounds this from above, so long maps go
-        back to the prism when one is attached.
+    def rank(self, x: Point, y: Point) -> int:
+        """Rank of the structure map x -> y.
+
+        Identities, maps with a zero end and adjacent edges are read from
+        the dims and the stored nonzero edge ranks.  Composing edge ranks
+        only bounds a long map from above, so those go back to the prism.
         """
         if not _leq(x, y):
             raise ModuleError(f"{x} is not below {y}")
         if x == y:
             return self.dim(x)
-        if (x, y) in self.edge_ranks:
-            return self.edge_ranks[(x, y)]
-        if self.prism is None:
-            raise ModuleError("long-range rank needs the source complex")
-        sub = slab_sublevel(self.prism, x[0], x[1], self.level_values[x[2]])
-        sup = slab_sublevel(self.prism, y[0], y[1], self.level_values[y[2]])
-        return induced_rank(sub.simplices, sup.simplices,
+        if not self.dim(x) or not self.dim(y):
+            return 0
+        if y in self.neighbors_up(x):
+            return self.edge_rank(x, y)
+        return induced_rank(self.slab(x), self.slab(y),
                             self.degree, self.fieldspec)
 
     def support(self):
@@ -183,20 +189,15 @@ def build_module(p: PrismComplex, degree: int,
         raise ModuleError("degree must be nonnegative")
     times = list(p.time_breakpoints)
     levels = list(level_values) if level_values is not None else p.level_values()
-    nt, nl = len(times), len(levels)
-    slabs = {}
-    for i in range(nt):
-        for j in range(i, nt):
-            for k in range(nl):
-                slabs[(i, j, k)] = slab_sublevel(p, i, j, levels[k]).simplices
-    dims = {}
+    mod = Module3(degree=degree, fieldspec=fieldspec, time_values=times,
+                  level_values=levels, dims={}, edge_ranks={}, prism=p)
+    slabs = {pt: mod.slab(pt) for pt in mod.points()}
+    dims = mod.dims
     for pt, sx in slabs.items():
         d = betti(sx, degree, fieldspec)
         if d:
             dims[pt] = d
-    mod = Module3(degree=degree, fieldspec=fieldspec, time_values=times,
-                  level_values=levels, dims=dims, edge_ranks={}, prism=p)
-    for pt in list(slabs):
+    for pt in slabs:
         if pt not in dims:
             continue
         for up in mod.neighbors_up(pt):
@@ -259,8 +260,13 @@ def finite_subdiagram(mod: Module3, points: List[Point]) -> Subdiagram:
 # ----- thin decomposition --------------------------------------------------
 
 
-def _zigzag_components(support, adjacency):
-    """Connected components of the support under rank-carrying edges."""
+def _zigzag_components(mod: Module3, support, edge):
+    """Components of the support under adjacent edges with edge(x, y) >= 1."""
+
+    def adjacency(x):
+        return ([y for y in mod.neighbors_up(x) if edge(x, y) >= 1]
+                + [y for y in mod.neighbors_down(x) if edge(y, x) >= 1])
+
     seen = set()
     comps = []
     for start in sorted(support):
@@ -301,14 +307,8 @@ def _check_components_split(mod: Module3, comps: List[IntervalSummand]):
         for cb in comps:
             if ca is cb:
                 continue
-            pair = None
-            for x in sorted(ca.support):
-                for y in sorted(cb.support):
-                    if _leq(x, y):
-                        pair = (x, y)
-                        break
-                if pair:
-                    break
+            pair = next(((x, y) for x in sorted(ca.support)
+                         for y in sorted(cb.support) if _leq(x, y)), None)
             if pair is not None and mod.rank(*pair) >= 1:
                 raise ThinRefusal(
                     "components are not independent: nonzero map "
@@ -326,12 +326,8 @@ def _joint_rank(mod: Module3, x: Point, xp: Point, y: Point) -> int:
     The union of the two slab complexes includes into the slab at y, and in
     degree zero the image of the union is exactly the sum of the images.
     """
-    if mod.prism is None:
-        raise ModuleError("joint rank needs the source complex")
-    sx = slab_sublevel(mod.prism, x[0], x[1], mod.level_values[x[2]]).simplices
-    sxp = slab_sublevel(mod.prism, xp[0], xp[1], mod.level_values[xp[2]]).simplices
-    sy = slab_sublevel(mod.prism, y[0], y[1], mod.level_values[y[2]]).simplices
-    return induced_rank(sx | sxp, sy, mod.degree, mod.fieldspec)
+    return induced_rank(mod.slab(x) | mod.slab(xp), mod.slab(y),
+                        mod.degree, mod.fieldspec)
 
 
 def thin_decompose(mod: Module3) -> List[IntervalSummand]:
@@ -349,12 +345,7 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
         return []
     max_dim = max(mod.dims.values())
     if max_dim == 1:
-        comps = _zigzag_components(
-            support,
-            lambda x: [y for y in list(mod.neighbors_up(x))
-                       if mod.edge_rank(x, y) >= 1]
-                      + [y for y in list(mod.neighbors_down(x))
-                         if mod.edge_rank(y, x) >= 1])
+        comps = _zigzag_components(mod, support, mod.edge_rank)
         _check_components_split(mod, comps)
         return comps
     if max_dim > 2:
@@ -394,11 +385,7 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
         r = mod.edge_rank(x, y)
         return r - (1 if x in peel and y in peel else 0)
 
-    rest = _zigzag_components(
-        residual,
-        lambda x: [y for y in list(mod.neighbors_up(x)) if res_edge(x, y) >= 1]
-                  + [y for y in list(mod.neighbors_down(x))
-                     if res_edge(y, x) >= 1])
+    rest = _zigzag_components(mod, residual, res_edge)
     return [IntervalSummand(frozenset(peel))] + rest
 
 

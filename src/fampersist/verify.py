@@ -18,7 +18,6 @@ from .homology import FieldSpec
 from .module3 import (ThinRefusal, betti_report, build_module,
                       check_indecomposable_sufficient, finite_subdiagram,
                       thin_decompose)
-from .simplicial import slab_sublevel
 from .stability import check_interleaving_necessary, sup_distance
 
 F = Fraction
@@ -251,15 +250,11 @@ def check_euler(fieldspec: FieldSpec) -> CheckResult:
     bad = []
     for label, fam in (("hat", hat_family(4)), ("zigzag", zigzag_family(2)),
                        ("cylinder", cylinder_family(4))):
-        prism = fam.to_prism()
-        report = betti_report(prism, 2, fieldspec)
-        mods = report.modules
+        mods = betti_report(fam.to_prism(), 2, fieldspec).modules
         m0 = mods[0]
         for pt in m0.points():
             chi = sum((-1) ** j * mods[j].dim(pt) for j in mods)
-            slab = slab_sublevel(prism, pt[0], pt[1],
-                                 m0.level_values[pt[2]])
-            count = sum((-1) ** (len(s) - 1) for s in slab.simplices)
+            count = sum((-1) ** (len(s) - 1) for s in m0.slab(pt))
             if chi != count:
                 bad.append(f"{label} at {pt}: chi {chi} vs cells {count}")
     return CheckResult("euler", not bad, "; ".join(bad[:3]))

@@ -110,6 +110,27 @@ class TestModuleCommand:
         assert code == 2 and "vertex_values" in err
 
 
+class TestBadRationals:
+    @pytest.mark.parametrize("argv", [
+        ("stability", "--example", "hat", "--example2", "hat",
+         "--epsilon", "abc"),
+        ("cerf", "--example", "hat", "--strip", "0,1,x"),
+    ])
+    def test_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "cannot parse rational" in err
+
+    @pytest.mark.parametrize("flag, value", [("--bandwidth", "1:x"),
+                                             ("--box", "a:1")])
+    def test_density_range_exit_2(self, capsys, tmp_path, flag, value):
+        data = tmp_path / "samples.csv"
+        data.write_text("0\n1\n")
+        # a repeated --bandwidth takes the last value
+        code, _, err = run(capsys, "kde", "--data", str(data),
+                           "--bandwidth", "1/2:1", flag, value)
+        assert code == 2 and "cannot parse rational" in err
+
+
 class TestCerfCommand:
     def test_svg_default(self, capsys):
         code, out, _ = run(capsys, "cerf", "--example", "wrinkled-cylinder")

@@ -101,6 +101,28 @@ class TestSerialization:
         assert back.time_values == mod.time_values
         assert back.fieldspec == mod.fieldspec
 
+    @pytest.mark.parametrize("fam, degree", [(zigzag_family(2), 0),
+                                             (cylinder_family(4), 1)])
+    def test_loaded_module_answers_short_ranks(self, fam, degree):
+        mod = build_module(fam.to_prism(), degree)
+        back = Module3.from_json_dict(
+            json.loads(json.dumps(mod.to_json_dict())))
+        assert back.prism is None
+        short = 0
+        for x in mod.points():
+            for y in mod.points():
+                if x == y or not (y[0] <= x[0] and x[1] <= y[1]
+                                  and x[2] <= y[2]):
+                    continue
+                adjacent = y in mod.neighbors_up(x)
+                if adjacent or not mod.dim(x) or not mod.dim(y):
+                    assert back.rank(x, y) == mod.rank(x, y), (x, y)
+                    short += 1
+                else:
+                    with pytest.raises(ModuleError):
+                        back.rank(x, y)
+        assert short
+
     def test_csv_contains_full_window_row(self):
         mod = build_module(hat_family(2).to_prism(), 0)
         assert "0,1,1,1" in mod.to_csv().splitlines()

@@ -1,13 +1,19 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from fampersist.family import (FamilyError, hat_family, point_family,
+from fampersist.family import (FamilyError, PLFamily, hat_family,
+                               point_family, wrinkled_cylinder_family,
                                zigzag_family)
+from fampersist.homology import betti, induced_rank
 from fampersist.module3 import build_module
-from fampersist.stability import (PerturbationReport,
+from fampersist.simplicial import SimplicialComplex, slab_sublevel
+from fampersist.stability import (PerturbationReport, ShiftCheck,
                                   check_interleaving_necessary, sup_distance)
+
+from oracle import all_downward_closed
 
 
 def shifted_pair(base, delta):
@@ -98,3 +104,91 @@ class TestInterleavingCheck:
         check = data["checks"][0]
         assert set(check) == {"point", "direction", "lhs_rank",
                               "rhs_dim", "pass"}
+
+
+def reference_report(mf, mg, epsilon):
+    """The check computed on the prisms: every slab rebuilt at the exact
+    levels c, c + epsilon and c + 2*epsilon, off the grids included."""
+    degree, fieldspec = mf.degree, mf.fieldspec
+    slabs, ranks = {}, {}
+
+    def slab(p, i, j, c):
+        key = (id(p), i, j, c)
+        if key not in slabs:
+            slabs[key] = slab_sublevel(p, i, j, c).simplices
+        return slabs[key]
+
+    def rank(sub, sup):
+        if (sub, sup) not in ranks:
+            ranks[(sub, sup)] = (betti(sub, degree, fieldspec) if sub == sup
+                                 else induced_rank(sub, sup, degree,
+                                                   fieldspec))
+        return ranks[(sub, sup)]
+
+    times = mf.prism.time_breakpoints
+    checks = []
+    for i in range(len(times)):
+        for j in range(i, len(times)):
+            for c in sorted(set(mf.level_values) | set(mg.level_values)):
+                for name, src, dst in (("f_to_g", mf.prism, mg.prism),
+                                       ("g_to_f", mg.prism, mf.prism)):
+                    lhs = rank(slab(src, i, j, c),
+                               slab(src, i, j, c + 2 * epsilon))
+                    mid = slab(dst, i, j, c + epsilon)
+                    checks.append(ShiftCheck(
+                        point=(times[i], times[j], c), direction=name,
+                        lhs_rank=lhs, rhs_dim=rank(mid, mid)))
+    return PerturbationReport(epsilon=epsilon, degree=degree, checks=checks)
+
+
+def random_offsets(rng, fam, choices):
+    return [[rng.choice(choices) for _ in row] for row in fam.vertex_values]
+
+
+def random_family(rng):
+    """A small family on a random complex with tied integer values."""
+    cx = rng.choice(all_downward_closed(3))
+    base = SimplicialComplex(3, cx)
+    inner = sorted(rng.sample([F(1, 4), F(1, 3), F(1, 2), F(3, 4)],
+                              rng.randint(0, 2)))
+    times = tuple([F(0)] + inner + [F(1)])
+    rows = tuple(tuple(F(rng.randint(0, 2)) for _ in range(3))
+                 for _ in times)
+    return PLFamily(base, times, rows)
+
+
+def differential_pairs():
+    rng = random.Random(2024)
+    hat = hat_family(4)
+    zig = zigzag_family(2)
+    wc = wrinkled_cylinder_family(subdiv=6)
+    cases = [("hat", hat, [F(-1, 4), 0, F(1, 2)]),
+             ("zigzag:2", zig, [F(-1, 2), 0, F(1, 4)]),
+             ("wrinkled", wc, [F(-1, 4), 0, F(1, 8), F(1, 2)])]
+    cases += [(f"random-{n}", random_family(rng), [-1, 0, 0, 1])
+              for n in range(6)]
+    return [pytest.param(f, f.shifted(random_offsets(rng, f, choices)),
+                         id=label)
+            for label, f, choices in cases]
+
+
+class TestModuleQueriesMatchSlabs:
+    @pytest.mark.parametrize("f, g", differential_pairs())
+    def test_reports_match_reference(self, f, g):
+        pf, pg = f.to_prism(), g.to_prism()
+        for degree in (0, 1):
+            mf, mg = build_module(pf, degree), build_module(pg, degree)
+            for eps in (F(0), F(1, 8), sup_distance(f, g), F(3)):
+                got = check_interleaving_necessary(mf, mg, eps)
+                want = reference_report(mf, mg, eps)
+                assert got.to_json_dict() == want.to_json_dict(), (
+                    degree, eps)
+
+    def test_level_grid_missing_a_vertex_value_rejected(self):
+        prism = hat_family(4).to_prism()
+        full = build_module(prism, 0)
+        sparse = build_module(prism, 0, level_values=[F(0), F(2), F(3)])
+        with pytest.raises(FamilyError):
+            check_interleaving_necessary(full, sparse, F(0))
+        with pytest.raises(FamilyError):
+            check_interleaving_necessary(sparse, full, F(0))
