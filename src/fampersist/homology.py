@@ -3,11 +3,12 @@
 One sparse persistence column reduction over GF(p) serves every query:
 ``staged_reduce`` turns a staged filtration into a barcode, the rank of
 an inclusion-induced map counts the essential bars born in the
-subcomplex, and a Betti number is the rank of the identity map.
-Coefficients stay integers mod p throughout, so results are exact.  The
-reduction rejects a face that is missing or listed after its coface, which
-is how ``betti`` and ``induced_rank`` check that their input is downward
-closed.
+subcomplex, and a Betti number is the rank of the identity map.  Within
+one filtration, ``Barcode.rank`` counts the bars alive from one stage to
+a later one.  Coefficients stay integers mod p throughout, so results are
+exact.  The reduction rejects a face that is missing or listed after its
+coface, which is how ``betti`` and ``induced_rank`` check that their input
+is downward closed.
 """
 
 from __future__ import annotations
@@ -53,9 +54,14 @@ class Barcode:
     def add(self, degree: int, birth: int, death):
         self.bars.setdefault(degree, []).append((birth, death))
 
-    def betti_at_stage(self, degree: int, stage: int) -> int:
+    def rank(self, degree: int, s: int, t: int) -> int:
+        """Rank of the map from stage s into stage t >= s: the bars born
+        by stage s that are still alive at stage t."""
         return sum(1 for b, d in self.bars.get(degree, ())
-                   if b <= stage and (d is None or d > stage))
+                   if b <= s and (d is None or d > t))
+
+    def betti_at_stage(self, degree: int, stage: int) -> int:
+        return self.rank(degree, stage, stage)
 
     def essential(self, degree: int):
         return [(b, d) for b, d in self.bars.get(degree, ()) if d is None]

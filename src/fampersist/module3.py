@@ -5,19 +5,27 @@ grid of triples (a, b, c): the homology of the part of the prism complex
 lying over times in [a, b] with vertex values at most c.  The partial order
 has (a, b, c) below (a', b', c') when [a, b] is contained in [a', b'] and
 c <= c', so structure maps widen the time window and raise the level.
+
+Along the level axis a window's slabs are the sublevel sets of a lower-star
+filtration, so one persistence reduction per window gives every dim of the
+window and every rank between two of its levels as a bar count.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .homology import FieldSpec, betti, induced_rank
+from . import homology
+from .homology import Barcode, FieldSpec, induced_rank
 from .rational import format_rational, parse_rational
 from .simplicial import PrismComplex, slab_sublevel
+# Not called here; the tracer in perfbench/tracer.py wraps it by name.
+from .homology import betti  # noqa: F401
 
 Point = Tuple[int, int, int]  # (a_index, b_index, c_index), a_index <= b_index
 
@@ -63,6 +71,9 @@ class Module3:
     dims: Dict[Point, int]
     edge_ranks: Dict[Tuple[Point, Point], int]
     prism: Optional[PrismComplex] = None
+    # Lower-star barcode of each window (a_index, b_index), stage k being
+    # level_values[k]; kept by build_module, never serialized.
+    bars: Optional[Dict[Tuple[int, int], Barcode]] = None
 
     # ----- queries -------------------------------------------------------
 
@@ -75,6 +86,12 @@ class Module3:
 
     def dim(self, point: Point) -> int:
         return self.dims.get(point, 0)
+
+    def _check_point(self, point: Point):
+        i, j, k = point
+        if not (0 <= i <= j < len(self.time_values)
+                and 0 <= k < len(self.level_values)):
+            raise ModuleError(f"grid point {point} out of range")
 
     def neighbors_up(self, point: Point):
         """Grid points one step up in the order (wider window or higher level)."""
@@ -105,12 +122,16 @@ class Module3:
         return slab_sublevel(self.prism, i, j, self.level_values[k]).simplices
 
     def rank(self, x: Point, y: Point) -> int:
-        """Rank of the structure map x -> y.
+        """Rank of the structure map x -> y between grid points.
 
         Identities, maps with a zero end and adjacent edges are read from
-        the dims and the stored nonzero edge ranks.  Composing edge ranks
-        only bounds a long map from above, so those go back to the prism.
+        the dims and the stored nonzero edge ranks.  A map that only raises
+        the level is a bar count in the window's barcode when build_module
+        kept it.  Composing edge ranks only bounds the other long maps from
+        above, so those go back to the prism.
         """
+        self._check_point(x)
+        self._check_point(y)
         if not _leq(x, y):
             raise ModuleError(f"{x} is not below {y}")
         if x == y:
@@ -119,6 +140,8 @@ class Module3:
             return 0
         if y in self.neighbors_up(x):
             return self.edge_rank(x, y)
+        if self.bars is not None and x[:2] == y[:2]:
+            return self.bars[x[:2]].rank(self.degree, x[2], y[2])
         return induced_rank(self.slab(x), self.slab(y),
                             self.degree, self.fieldspec)
 
@@ -176,6 +199,70 @@ class Module3:
                    dims=dims, edge_ranks=edges)
 
 
+def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
+    """(simplex, tmin, tmax, stage) for every prism simplex on the grid.
+
+    tmin and tmax are the simplex's first and last time index, and stage is
+    the first grid index whose level is at least its top vertex value, so
+    the slab at (i, j, k) holds exactly the simplices with i <= tmin,
+    tmax <= j and stage <= k.  A simplex above the top level is left out.
+    """
+    cells = []
+    for s in p.simplices:
+        stage = bisect_left(levels, max(p.vertex_level[v] for v in s))
+        if stage < len(levels):
+            times = [v[0] for v in s]
+            cells.append((s, min(times), max(times), stage))
+    return cells
+
+
+def _barcode(entries, fieldspec: FieldSpec) -> Barcode:
+    """Barcode of (stage, simplex) pairs whose faces never stage later."""
+    if not entries:
+        return Barcode()
+    entries.sort(key=lambda e: (e[0], len(e[1]), e[1]))
+    return homology.staged_reduce([(s, st) for st, s in entries], fieldspec)
+
+
+def _window_edge_ranks(cells, dims, nt: int, nl: int, degree: int,
+                       fieldspec: FieldSpec) -> Dict[Tuple[Point, Point], int]:
+    """Ranks of the window-widening edges between support points.
+
+    At a fixed level k and right end j, the slabs (i, j, k) for i = j..0 are
+    the stages j - tmin of one filtration; at a fixed left end i, the slabs
+    (i, j, k) for j = i..nt-1 are the stages tmax - i.  One reduction per
+    such chain serves all of its edges, and it runs only at the levels where
+    the chain's slabs change: the levels above one, up to the next, hold the
+    same slabs and get the same ranks.
+    """
+    ranks = {}
+
+    def chain(members, point, length):
+        # members: (chain stage, level stage, simplex); point(q, k) is the
+        # grid point of chain stage q at level k.
+        changes = sorted({st for _, st, _ in members})
+        for n, r in enumerate(changes):
+            needed = [q for q in range(length - 1)
+                      if point(q, r) in dims and point(q + 1, r) in dims]
+            if not needed:
+                continue
+            bc = _barcode([(q, s) for q, st, s in members if st <= r],
+                          fieldspec)
+            upto = changes[n + 1] if n + 1 < len(changes) else nl
+            for q in needed:
+                rank = bc.rank(degree, q, q + 1)
+                for k in range(r, upto):
+                    ranks[(point(q, k), point(q + 1, k))] = rank
+
+    for j in range(1, nt):
+        chain([(j - lo, st, s) for s, lo, hi, st in cells if hi <= j],
+              lambda q, k: (j - q, j, k), j + 1)
+    for i in range(nt - 1):
+        chain([(hi - i, st, s) for s, lo, hi, st in cells if i <= lo],
+              lambda q, k: (i, i + q, k), nt - i)
+    return ranks
+
+
 def build_module(p: PrismComplex, degree: int,
                  fieldspec: FieldSpec = FieldSpec(),
                  level_values: Optional[List[Fraction]] = None) -> Module3:
@@ -183,27 +270,40 @@ def build_module(p: PrismComplex, degree: int,
 
     The level grid defaults to the distinct vertex values, midpoints between
     consecutive ones, and one value above the maximum, which captures every
-    combinatorial change of the sublevel complexes.
+    combinatorial change of the sublevel complexes; a given grid must be
+    strictly increasing.  Each window's slabs form one lower-star
+    filtration, reduced once: its barcode, kept on the module as ``bars``,
+    gives the dims and every rank between two levels of the window as bar
+    counts.  Window-widening edges come from one reduction per chain of
+    nested windows at each level where that chain's slabs change.
     """
     if degree < 0:
         raise ModuleError("degree must be nonnegative")
     times = list(p.time_breakpoints)
     levels = list(level_values) if level_values is not None else p.level_values()
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ModuleError("level values must be strictly increasing")
+    nt, nl = len(times), len(levels)
+    cells = _lower_star_cells(p, levels)
+    bars = {(i, j): _barcode([(st, s) for s, lo, hi, st in cells
+                              if i <= lo and hi <= j], fieldspec)
+            for i in range(nt) for j in range(i, nt)}
     mod = Module3(degree=degree, fieldspec=fieldspec, time_values=times,
-                  level_values=levels, dims={}, edge_ranks={}, prism=p)
-    slabs = {pt: mod.slab(pt) for pt in mod.points()}
+                  level_values=levels, dims={}, edge_ranks={}, prism=p,
+                  bars=bars)
     dims = mod.dims
-    for pt, sx in slabs.items():
-        d = betti(sx, degree, fieldspec)
-        if d:
-            dims[pt] = d
-    for pt in slabs:
-        if pt not in dims:
-            continue
+    for (i, j), bc in bars.items():
+        for k in range(nl):
+            d = bc.betti_at_stage(degree, k)
+            if d:
+                dims[(i, j, k)] = d
+    ranks = _window_edge_ranks(cells, dims, nt, nl, degree, fieldspec)
+    for pt in dims:
         for up in mod.neighbors_up(pt):
-            if up not in dims:
-                continue
-            r = induced_rank(slabs[pt], slabs[up], degree, fieldspec)
+            if pt[:2] == up[:2]:
+                r = bars[pt[:2]].rank(degree, pt[2], up[2])
+            else:
+                r = ranks.get((pt, up), 0)
             if r:
                 mod.edge_ranks[(pt, up)] = r
     return mod
@@ -242,12 +342,9 @@ class Subdiagram:
 
 def finite_subdiagram(mod: Module3, points: List[Point]) -> Subdiagram:
     """Dims at the chosen points plus composite ranks of every comparable
-    ordered pair, each computed directly on the slab inclusion."""
-    nt, nl = len(mod.time_values), len(mod.level_values)
+    ordered pair, each computed by ``Module3.rank``."""
     for p in points:
-        i, j, k = p
-        if not (0 <= i <= j < nt and 0 <= k < nl):
-            raise ModuleError(f"grid point {p} out of range")
+        mod._check_point(p)
     dims = [mod.dim(p) for p in points]
     ranks = {}
     for s, x in enumerate(points):

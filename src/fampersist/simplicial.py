@@ -5,7 +5,8 @@ prism complex: a triangulation of [0,1] x X whose vertices sit on the time
 breakpoints and carry the family's values.  Slabs F(a,b,c) are modeled as
 full subcomplexes on the vertices with time in [t_a, t_b] and value <= c,
 which is homotopy-correct for PL functions as long as levels are compared
-against vertex values only (see module3.Grid3 for the level grid).
+against vertex values only (see PrismComplex.level_values for the level
+grid).
 """
 
 from __future__ import annotations

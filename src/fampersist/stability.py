@@ -117,8 +117,9 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
         for j in range(i, len(times)):
             for c in sorted(set(mf.level_values) | set(mg.level_values)):
                 for name, src, dst in (("f_to_g", mf, mg), ("g_to_f", mg, mf)):
-                    lhs = src.rank(at(src, i, j, c),
-                                   at(src, i, j, c + 2 * epsilon))
+                    lo = at(src, i, j, c)
+                    lhs = (src.rank(lo, at(src, i, j, c + 2 * epsilon))
+                           if lo[2] >= 0 else 0)
                     rhs = dst.dim(at(dst, i, j, c + epsilon))
                     checks.append(ShiftCheck(
                         point=(times[i], times[j], c),

@@ -79,6 +79,13 @@ class TestBuildModule:
         with pytest.raises(ModuleError):
             build_module(hat_family(2).to_prism(), -1)
 
+    @pytest.mark.parametrize("levels", [[F(1), F(0)],
+                                        [F(1, 2), F(0), F(1)],
+                                        [F(0), F(0), F(1)]])
+    def test_level_grid_not_strictly_increasing_rejected(self, levels):
+        with pytest.raises(ModuleError):
+            build_module(hat_family(2).to_prism(), 0, level_values=levels)
+
     def test_level_refinement_keeps_old_dims(self):
         prism = hat_family(2).to_prism()
         mod = build_module(prism, 0)
@@ -236,6 +243,13 @@ class TestFiniteSubdiagram:
         sub = finite_subdiagram(mod, [p1, p2])
         with pytest.raises(ModuleError):
             sub.rank(0, 1)
+
+    def test_rank_out_of_range_point_rejected(self):
+        mod = build_module(hat_family(4).to_prism(), 0)
+        for x, y in [((0, 2, 1), (0, 7, 3)), ((0, 2, -1), (0, 2, 1)),
+                     ((0, 2, 1), (0, 2, len(mod.level_values)))]:
+            with pytest.raises(ModuleError):
+                mod.rank(x, y)
 
     def test_out_of_range_point(self):
         mod = build_module(hat_family(2).to_prism(), 0)
