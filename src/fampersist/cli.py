@@ -124,8 +124,10 @@ def cmd_module(args) -> int:
 
 def cmd_cerf(args) -> int:
     fam = _resolve_family(args)
-    diagram = trace_cerf(fam.to_prism(), _fieldspec(args))
     strip = _parse_triple(args.strip) if args.strip else None
+    if strip is not None and strip[0] > strip[1]:
+        raise CerfError("need a <= b")
+    diagram = trace_cerf(fam.to_prism(), _fieldspec(args))
     if args.format == "json":
         _emit(dump_json(diagram.to_json_dict()), args)
     else:

@@ -5,14 +5,16 @@ One sparse persistence column reduction over GF(p) serves every query:
 an inclusion-induced map counts the essential bars born in the
 subcomplex, and a Betti number is the rank of the identity map.  Within
 one filtration, ``Barcode.rank`` counts the bars alive from one stage to
-a later one.  Coefficients stay integers mod p throughout, so results are
-exact.  The reduction rejects a face that is missing or listed after its
-coface, which is how ``betti`` and ``induced_rank`` check that their input
-is downward closed.
+a later one, and in an image barcode from a stage of a subfiltration to a
+stage of the whole.  Coefficients stay integers mod p throughout, so
+results are exact.  The reduction rejects a face that is missing or listed
+after its coface, which is how ``betti`` and ``induced_rank`` check that
+their input is downward closed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -100,47 +102,65 @@ def _reduce_columns(columns: list, p: int) -> dict:
 
 
 def staged_reduce(filtration: Sequence,
-                  fieldspec: FieldSpec = FieldSpec()) -> Barcode:
+                  fieldspec: FieldSpec = FieldSpec(), sub=None) -> Barcode:
     """Barcode of a staged filtration.
 
     ``filtration`` is an ordered list of (simplex, stage) with faces before
     cofaces and stages non-decreasing.  Stage-wise Betti counts of the
-    result match ``betti`` on every prefix subcomplex.
+    result match ``betti`` on every prefix subcomplex.  Zero-length bars are
+    kept, so the bars born by stage s count the cycles at stage s.
+
+    ``sub = (members, barcode)`` names a subfiltration, closed under faces,
+    and its own barcode; the result is then the image barcode, whose
+    ``rank(n, s, t)`` is the rank of H_n(sub at s) -> H_n(whole at t)
+    (Cohen-Steiner, Edelsbrunner, Harer and Morozov 2009).  With the rows
+    of ``members`` first, a column whose pivot is one of them bounds a
+    cycle of ``sub`` at its stage; the other cycles of ``barcode`` live on.
     """
     simplices = [tuple(s) for s, _ in filtration]
     stages = [int(st) for _, st in filtration]
     if any(stages[i] > stages[i + 1] for i in range(len(stages) - 1)):
         raise HomologyError("stage labels must be non-decreasing")
-    index = {}
-    for i, s in enumerate(simplices):
-        for f in (s[:k] + s[k + 1:] for k in range(len(s))):
-            if len(f) >= 1 and f not in index:
-                raise HomologyError(f"face {f!r} of {s!r} missing or out of order")
-        if s in index:
-            raise HomologyError(f"duplicate simplex {s!r}")
-        index[s] = i
-
+    members = None if sub is None else sub[0]
+    n_sub = len(simplices) if sub is None else len(members)
     p = fieldspec.characteristic
-    columns = []
-    for s in simplices:
+    # Rows: the members in filtration order, then the other simplices.
+    row, order, columns = {}, {}, []  # simplex -> row, row -> position
+    free = [0, n_sub]  # the next row of a member, of any other simplex
+    for i, s in enumerate(simplices):
         col = {}
         for k in range(len(s)):
             f = s[:k] + s[k + 1:]
-            if f:
-                col[index[f]] = ((-1) ** k) % p
+            if f in row:
+                col[row[f]] = ((-1) ** k) % p
+            elif f:
+                raise HomologyError(f"face {f!r} of {s!r} missing or out of order")
+        if s in row:
+            raise HomologyError(f"duplicate simplex {s!r}")
+        other = members is not None and s not in members
+        row[s], order[free[other]] = free[other], i
+        free[other] += 1
         columns.append(col)
+    if free[0] != n_sub:
+        raise HomologyError("sub must be part of the filtration")
     dims = [len(s) - 1 for s in simplices]
 
     pairs = _reduce_columns(columns, p)
+    if sub is None:
+        cycles = Counter((dims[i], stages[i]) for i in order.values()
+                         if i not in pairs)
+    else:
+        cycles = Counter((n, b) for n, bars in sub[1].bars.items()
+                         for b, _ in bars)
     bc = Barcode()
-    dead_births = set()
-    for death, birth in pairs.items():
-        dead_births.add(birth)
-        if stages[birth] < stages[death]:  # zero-length bars are invisible
+    for death, r in pairs.items():
+        if r < n_sub:
+            birth = order[r]
             bc.add(dims[birth], stages[birth], stages[death])
-    for i, s in enumerate(simplices):
-        if i not in pairs and i not in dead_births:
-            bc.add(dims[i], stages[i], None)
+            cycles[dims[birth], stages[birth]] -= 1
+    for (n, b), count in cycles.items():
+        for _ in range(count):
+            bc.add(n, b, None)
     return bc
 
 
@@ -161,8 +181,6 @@ def induced_rank(sub: frozenset, sup: frozenset, j: int,
     if not sub <= sup:
         raise HomologyError("sub must be contained in sup")
     bc = staged_reduce(_staged_filtration(sub, sup), fieldspec)
-    if j < 0:
-        return 0
     return sum(1 for b, d in bc.essential(j) if b == 0)
 
 

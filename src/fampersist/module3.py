@@ -8,7 +8,9 @@ c <= c', so structure maps widen the time window and raise the level.
 
 Along the level axis a window's slabs are the sublevel sets of a lower-star
 filtration, so one persistence reduction per window gives every dim of the
-window and every rank between two of its levels as a bar count.
+window and every rank between two of its levels as a bar count.  One
+reduction per pair of nested windows, an image barcode, does the same for
+every map from a slab of the inner window into one of the outer.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from typing import Dict, List, Optional, Tuple
 from . import homology
 from .homology import Barcode, FieldSpec, induced_rank
 from .rational import format_rational, parse_rational
-from .simplicial import PrismComplex, slab_sublevel
-# Not called here; the tracer in perfbench/tracer.py wraps it by name.
+from .simplicial import PrismComplex
+# Not called here; the tracer in perfbench/tracer.py wraps them by name.
 from .homology import betti  # noqa: F401
+from .simplicial import slab_sublevel  # noqa: F401
 
 Point = Tuple[int, int, int]  # (a_index, b_index, c_index), a_index <= b_index
 
@@ -71,9 +74,10 @@ class Module3:
     dims: Dict[Point, int]
     edge_ranks: Dict[Tuple[Point, Point], int]
     prism: Optional[PrismComplex] = None
-    # Lower-star barcode of each window (a_index, b_index), stage k being
-    # level_values[k]; kept by build_module, never serialized.
-    bars: Optional[Dict[Tuple[int, int], Barcode]] = None
+    # Set by build_module, never serialized: the _lower_star_cells, and the
+    # barcode of every window pair (w, w) and of each (w, w') used so far.
+    cells: Optional[list] = None
+    bars: Optional[Dict[tuple, Barcode]] = None
 
     # ----- queries -------------------------------------------------------
 
@@ -116,19 +120,20 @@ class Module3:
 
     def slab(self, point: Point) -> frozenset:
         """Simplices of the prism slab at a grid point."""
-        if self.prism is None:
+        if self.cells is None:
             raise ModuleError(f"the slab at {point} needs the source complex")
         i, j, k = point
-        return slab_sublevel(self.prism, i, j, self.level_values[k]).simplices
+        return frozenset(s for s, lo, hi, st in self.cells
+                         if i <= lo and hi <= j and st <= k)
 
     def rank(self, x: Point, y: Point) -> int:
         """Rank of the structure map x -> y between grid points.
 
         Identities, maps with a zero end and adjacent edges are read from
-        the dims and the stored nonzero edge ranks.  A map that only raises
-        the level is a bar count in the window's barcode when build_module
-        kept it.  Composing edge ranks only bounds the other long maps from
-        above, so those go back to the prism.
+        the dims and the stored nonzero edge ranks.  Every other map is a
+        bar count in the barcode of its window pair, reduced on first use
+        and kept for the next map between the same two windows.  Composing
+        edge ranks would only bound these from above.
         """
         self._check_point(x)
         self._check_point(y)
@@ -140,10 +145,13 @@ class Module3:
             return 0
         if y in self.neighbors_up(x):
             return self.edge_rank(x, y)
-        if self.bars is not None and x[:2] == y[:2]:
-            return self.bars[x[:2]].rank(self.degree, x[2], y[2])
-        return induced_rank(self.slab(x), self.slab(y),
-                            self.degree, self.fieldspec)
+        if self.bars is None:
+            raise ModuleError(f"the map {x} -> {y} needs the source complex")
+        pair = (x[:2], y[:2])
+        if pair not in self.bars:
+            self.bars[pair] = _pair_barcode(self.cells, *pair, self.bars,
+                                            self.fieldspec)
+        return self.bars[pair].rank(self.degree, x[2], y[2])
 
     def support(self):
         return {p for p, d in self.dims.items() if d > 0}
@@ -200,7 +208,8 @@ class Module3:
 
 
 def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
-    """(simplex, tmin, tmax, stage) for every prism simplex on the grid.
+    """(simplex, tmin, tmax, stage) for every prism simplex on the grid, in
+    filtration order: by stage, then dimension, then simplex.
 
     tmin and tmax are the simplex's first and last time index, and stage is
     the first grid index whose level is at least its top vertex value, so
@@ -213,54 +222,19 @@ def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
         if stage < len(levels):
             times = [v[0] for v in s]
             cells.append((s, min(times), max(times), stage))
+    cells.sort(key=lambda c: (c[3], len(c[0]), c[0]))
     return cells
 
 
-def _barcode(entries, fieldspec: FieldSpec) -> Barcode:
-    """Barcode of (stage, simplex) pairs whose faces never stage later."""
-    if not entries:
-        return Barcode()
-    entries.sort(key=lambda e: (e[0], len(e[1]), e[1]))
-    return homology.staged_reduce([(s, st) for st, s in entries], fieldspec)
-
-
-def _window_edge_ranks(cells, dims, nt: int, nl: int, degree: int,
-                       fieldspec: FieldSpec) -> Dict[Tuple[Point, Point], int]:
-    """Ranks of the window-widening edges between support points.
-
-    At a fixed level k and right end j, the slabs (i, j, k) for i = j..0 are
-    the stages j - tmin of one filtration; at a fixed left end i, the slabs
-    (i, j, k) for j = i..nt-1 are the stages tmax - i.  One reduction per
-    such chain serves all of its edges, and it runs only at the levels where
-    the chain's slabs change: the levels above one, up to the next, hold the
-    same slabs and get the same ranks.
-    """
-    ranks = {}
-
-    def chain(members, point, length):
-        # members: (chain stage, level stage, simplex); point(q, k) is the
-        # grid point of chain stage q at level k.
-        changes = sorted({st for _, st, _ in members})
-        for n, r in enumerate(changes):
-            needed = [q for q in range(length - 1)
-                      if point(q, r) in dims and point(q + 1, r) in dims]
-            if not needed:
-                continue
-            bc = _barcode([(q, s) for q, st, s in members if st <= r],
-                          fieldspec)
-            upto = changes[n + 1] if n + 1 < len(changes) else nl
-            for q in needed:
-                rank = bc.rank(degree, q, q + 1)
-                for k in range(r, upto):
-                    ranks[(point(q, k), point(q + 1, k))] = rank
-
-    for j in range(1, nt):
-        chain([(j - lo, st, s) for s, lo, hi, st in cells if hi <= j],
-              lambda q, k: (j - q, j, k), j + 1)
-    for i in range(nt - 1):
-        chain([(hi - i, st, s) for s, lo, hi, st in cells if i <= lo],
-              lambda q, k: (i, i + q, k), nt - i)
-    return ranks
+def _pair_barcode(cells, w, wp, bars, fieldspec: FieldSpec) -> Barcode:
+    """Barcode whose rank(n, s, t) is the rank of H_n(slab(w, s)) ->
+    H_n(slab(wp, t)) for a window w inside wp: wp's own for w == wp, else
+    the image barcode of w, which needs w's own barcode bars[w, w]."""
+    filtration = [(s, st) for s, lo, hi, st in cells
+                  if wp[0] <= lo and hi <= wp[1]]
+    sub = None if w == wp else ({s for s, lo, hi, _ in cells
+                                 if w[0] <= lo and hi <= w[1]}, bars[w, w])
+    return homology.staged_reduce(filtration, fieldspec, sub=sub)
 
 
 def build_module(p: PrismComplex, degree: int,
@@ -272,10 +246,9 @@ def build_module(p: PrismComplex, degree: int,
     consecutive ones, and one value above the maximum, which captures every
     combinatorial change of the sublevel complexes; a given grid must be
     strictly increasing.  Each window's slabs form one lower-star
-    filtration, reduced once: its barcode, kept on the module as ``bars``,
-    gives the dims and every rank between two levels of the window as bar
-    counts.  Window-widening edges come from one reduction per chain of
-    nested windows at each level where that chain's slabs change.
+    filtration, reduced once: its barcode, kept on the module, gives the
+    dims and the level edges as bar counts.  Window-widening edges at level
+    k are rank(k, k) in the barcode of their window pair, which is dropped.
     """
     if degree < 0:
         raise ModuleError("degree must be nonnegative")
@@ -285,27 +258,29 @@ def build_module(p: PrismComplex, degree: int,
         raise ModuleError("level values must be strictly increasing")
     nt, nl = len(times), len(levels)
     cells = _lower_star_cells(p, levels)
-    bars = {(i, j): _barcode([(st, s) for s, lo, hi, st in cells
-                              if i <= lo and hi <= j], fieldspec)
-            for i in range(nt) for j in range(i, nt)}
+    windows = [(i, j) for i in range(nt) for j in range(i, nt)]
+    bars = {(w, w): _pair_barcode(cells, w, w, None, fieldspec)
+            for w in windows}
     mod = Module3(degree=degree, fieldspec=fieldspec, time_values=times,
                   level_values=levels, dims={}, edge_ranks={}, prism=p,
-                  bars=bars)
+                  cells=cells, bars=bars)
     dims = mod.dims
-    for (i, j), bc in bars.items():
-        for k in range(nl):
-            d = bc.betti_at_stage(degree, k)
-            if d:
-                dims[(i, j, k)] = d
-    ranks = _window_edge_ranks(cells, dims, nt, nl, degree, fieldspec)
-    for pt in dims:
-        for up in mod.neighbors_up(pt):
-            if pt[:2] == up[:2]:
-                r = bars[pt[:2]].rank(degree, pt[2], up[2])
-            else:
-                r = ranks.get((pt, up), 0)
-            if r:
-                mod.edge_ranks[(pt, up)] = r
+    for x in mod.points():
+        d = bars[x[:2], x[:2]].betti_at_stage(degree, x[2])
+        if d:
+            dims[x] = d
+    for w in windows:
+        # Level edges (w, k) -> (w, k + 1), then window-widening edges.
+        for wp, up in ((w, 1), ((w[0] - 1, w[1]), 0), ((w[0], w[1] + 1), 0)):
+            edges = [(w + (k,), wp + (k + up,)) for k in range(nl - up)
+                     if w + (k,) in dims and wp + (k + up,) in dims]
+            if edges:
+                bc = bars[w, w] if w == wp else _pair_barcode(
+                    cells, w, wp, bars, fieldspec)
+                for x, y in edges:
+                    r = bc.rank(degree, x[2], y[2])
+                    if r:
+                        mod.edge_ranks[(x, y)] = r
     return mod
 
 
@@ -319,6 +294,8 @@ class BettiReport:
 
 def betti_report(p: PrismComplex, max_degree: int,
                  fieldspec: FieldSpec = FieldSpec()) -> BettiReport:
+    if max_degree < 0:
+        raise ModuleError("max degree must be nonnegative")
     return BettiReport({j: build_module(p, j, fieldspec)
                         for j in range(max_degree + 1)})
 

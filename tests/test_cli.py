@@ -41,6 +41,11 @@ class TestModuleCommand:
                            "--max-degree", "1", "--format", "csv")
         assert code == 3 and "csv" in err
 
+    def test_negative_max_degree_rejected(self, capsys):
+        code, out, err = run(capsys, "module", "--example", "hat",
+                             "--max-degree", "-1")
+        assert code == 3 and out == "" and "max degree" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "mod.json"
         code, out, _ = run(capsys, "module", "--example", "hat",
@@ -155,6 +160,11 @@ class TestCerfCommand:
         code, _, _ = run(capsys, "cerf", "--example", "hat",
                          "--strip", "1/4,3/4")
         assert code == 2
+
+    def test_reversed_strip(self, capsys):
+        code, out, err = run(capsys, "cerf", "--example", "hat",
+                             "--strip", "1,0,1/2")
+        assert code == 3 and out == "" and "need a <= b" in err
 
 
 class TestDensityCommands:

@@ -183,6 +183,7 @@ class TestStagedReduce:
             stages = sorted(rng.randint(0, 3) for _ in ordered)
             filtration = list(zip(ordered, stages))
             bc = staged_reduce(filtration)
+            earlier = {}
             for stage in range(4):
                 prefix = frozenset(s for s, st in filtration if st <= stage)
                 closed = close_downward(prefix) if prefix else frozenset()
@@ -190,6 +191,36 @@ class TestStagedReduce:
                     continue  # stage cut not a subcomplex; skip this stage
                 for j in range(3):
                     assert bc.betti_at_stage(j, stage) == betti(prefix, j)
+                    for s, small in earlier.items():
+                        assert bc.rank(j, s, stage) == \
+                            induced_rank(small, prefix, j)
+                earlier[stage] = prefix
+
+    def test_image_barcode_matches_induced_rank(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            cx = random_complex(rng)
+            members = close_downward(
+                rng.sample(sorted(cx), max(1, len(cx) // 2)))
+            ordered = sorted(cx, key=lambda s: (len(s), s))
+            stages = sorted(rng.randint(0, 3) for _ in ordered)
+            filtration = list(zip(ordered, stages))
+            fieldspec = FieldSpec(rng.choice((2, 3)))
+            inner = staged_reduce(
+                [(s, st) for s, st in filtration if s in members], fieldspec)
+            bc = staged_reduce(filtration, fieldspec, sub=(members, inner))
+            for s in range(4):
+                small = frozenset(x for x, st in filtration
+                                  if st <= s and x in members)
+                for t in range(s, 4):
+                    big = frozenset(x for x, st in filtration if st <= t)
+                    for j in range(3):
+                        assert bc.rank(j, s, t) == \
+                            induced_rank(small, big, j, fieldspec)
+
+    def test_image_sub_must_lie_in_filtration(self):
+        with pytest.raises(HomologyError):
+            staged_reduce([((0,), 0)], sub=({(0,), (1,)}, Barcode()))
 
     def test_face_order_enforced(self):
         with pytest.raises(HomologyError):

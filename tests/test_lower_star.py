@@ -5,7 +5,8 @@ its Betti number from ``betti`` and every adjacent edge from
 ``induced_rank`` on the two slabs.  The engine must give exactly the same
 dims and edge ranks, and every rank between two levels of one window,
 answered from the window's barcode, must equal ``induced_rank`` on the two
-slabs.
+slabs; so must every rank between two windows, answered from the image
+barcode of the window pair.  No module computation may build a slab.
 """
 
 import random
@@ -16,7 +17,11 @@ import pytest
 from fampersist.family import (PLFamily, cylinder_family, hat_family,
                                wrinkled_cylinder_family, zigzag_family)
 from fampersist.homology import FieldSpec, betti, induced_rank
-from fampersist.module3 import build_module
+from fampersist.module3 import (build_module,
+                                check_indecomposable_sufficient,
+                                finite_subdiagram, thin_decompose)
+from fampersist.stability import check_interleaving_necessary
+from fampersist.verify import run_suite
 from fampersist.simplicial import SimplicialComplex, slab_sublevel
 
 
@@ -99,3 +104,51 @@ def test_engine_matches_per_point_reference(fam):
                             ranks[key] = induced_rank(*key, degree,
                                                       fieldspec)
                         assert mod.rank(x, y) == ranks[key], (x, y)
+
+
+def hollow_tetrahedra():
+    """Seeded random families on a 2-sphere, so that degree 2 is nonzero."""
+    rng = random.Random(11)
+    base = SimplicialComplex.from_maximal(
+        4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    return [pytest.param(random_family(rng, base), id=f"sphere-{n}")
+            for n in range(3)]
+
+
+@pytest.mark.parametrize("fam", families() + hollow_tetrahedra())
+def test_cross_window_ranks_match_slabs(fam):
+    prism = fam.to_prism()
+    slabs, ranks = {}, {}
+    for fieldspec in (FieldSpec(2), FieldSpec(3)):
+        for degree in (0, 1, 2):
+            mod = build_module(prism, degree, fieldspec)
+            for x in mod.points():
+                slabs.setdefault(x, slab_sublevel(
+                    prism, x[0], x[1], mod.level_values[x[2]]).simplices)
+            for x in mod.points():
+                for y in mod.points():
+                    if x[:2] == y[:2] or not (y[0] <= x[0] and x[1] <= y[1]
+                                              and x[2] <= y[2]):
+                        continue
+                    key = (slabs[x], slabs[y], degree, fieldspec)
+                    if key not in ranks:
+                        ranks[key] = induced_rank(*key)
+                    assert mod.rank(x, y) == ranks[key], (x, y, degree)
+
+
+def test_module_computations_build_no_slab(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("slab_sublevel called")
+
+    for owner in ("simplicial", "module3", "stability"):
+        monkeypatch.setattr(f"fampersist.{owner}.slab_sublevel", forbidden)
+    prism = wrinkled_cylinder_family().to_prism()
+    mod = build_module(prism, 0)
+    assert max(mod.dims.values()) == 2  # so thin_decompose takes the peel
+    sub = finite_subdiagram(mod, sorted(mod.support())[::5])
+    assert any(sub.ranks.values())
+    assert len(thin_decompose(mod)) == 2
+    assert check_indecomposable_sufficient(mod)
+    assert check_interleaving_necessary(mod, build_module(prism, 0),
+                                        F(1, 4)).overall
+    assert all(check.passed for check in run_suite())
