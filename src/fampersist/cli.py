@@ -21,7 +21,7 @@ from .io import (IOFormatError, dump_json, family_to_json_dict, load_family,
                  load_samples, write_text)
 from .module3 import ModuleError, ThinRefusal, betti_report, build_module, \
     thin_decompose
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 from .simplicial import ComplexError
 from .stability import check_interleaving_necessary, sup_distance
 from .svg import render_cerf_svg

@@ -69,10 +69,6 @@ class Barcode:
         return [(b, d) for b, d in self.bars.get(degree, ()) if d is None]
 
 
-def _low(col: dict) -> int:
-    return max(col) if col else -1
-
-
 def _reduce_columns(columns: list, p: int) -> dict:
     """Persistence column reduction; returns {death column -> birth column}.
 
@@ -83,7 +79,7 @@ def _reduce_columns(columns: list, p: int) -> dict:
     pivot_of = {}  # low row -> column index owning it
     for j, col in enumerate(columns):
         while col:
-            low = _low(col)
+            low = max(col)
             k = pivot_of.get(low)
             if k is None:
                 break
@@ -95,7 +91,7 @@ def _reduce_columns(columns: list, p: int) -> dict:
                 else:
                     col.pop(r, None)
         if col:
-            low = _low(col)
+            low = max(col)
             pivot_of[low] = j
             pairs[j] = low
     return pairs

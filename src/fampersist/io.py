@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 from fractions import Fraction
 from typing import List, Optional, Tuple

@@ -10,7 +10,8 @@ Along the level axis a window's slabs are the sublevel sets of a lower-star
 filtration, so one persistence reduction per window gives every dim of the
 window and every rank between two of its levels as a bar count.  One
 reduction per pair of nested windows, an image barcode, does the same for
-every map from a slab of the inner window into one of the outer.
+every map from a slab of the inner window into one of the outer.  One pass
+serves every degree, and the modules of all degrees share one barcode cache.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class Module3:
     dims: Dict[Point, int]
     edge_ranks: Dict[Tuple[Point, Point], int]
     prism: Optional[PrismComplex] = None
-    # Set by build_module, never serialized: the _lower_star_cells, and the
-    # barcode of every window pair (w, w) and of each (w, w') used so far.
+    # Never serialized, shared by one report's modules: the _lower_star_cells
+    # and the barcodes of each window pair (w, w) and each (w, w') used so far.
     cells: Optional[list] = None
     bars: Optional[Dict[tuple, Barcode]] = None
 
@@ -237,21 +238,9 @@ def _pair_barcode(cells, w, wp, bars, fieldspec: FieldSpec) -> Barcode:
     return homology.staged_reduce(filtration, fieldspec, sub=sub)
 
 
-def build_module(p: PrismComplex, degree: int,
-                 fieldspec: FieldSpec = FieldSpec(),
-                 level_values: Optional[List[Fraction]] = None) -> Module3:
-    """Compute dims and adjacent-edge ranks over the full grid.
-
-    The level grid defaults to the distinct vertex values, midpoints between
-    consecutive ones, and one value above the maximum, which captures every
-    combinatorial change of the sublevel complexes; a given grid must be
-    strictly increasing.  Each window's slabs form one lower-star
-    filtration, reduced once: its barcode, kept on the module, gives the
-    dims and the level edges as bar counts.  Window-widening edges at level
-    k are rank(k, k) in the barcode of their window pair, which is dropped.
-    """
-    if degree < 0:
-        raise ModuleError("degree must be nonnegative")
+def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
+                   level_values: Optional[List[Fraction]] = None):
+    """One module per degree; windows and edge-carrying pairs reduced once."""
     times = list(p.time_breakpoints)
     levels = list(level_values) if level_values is not None else p.level_values()
     if any(a >= b for a, b in zip(levels, levels[1:])):
@@ -261,27 +250,44 @@ def build_module(p: PrismComplex, degree: int,
     windows = [(i, j) for i in range(nt) for j in range(i, nt)]
     bars = {(w, w): _pair_barcode(cells, w, w, None, fieldspec)
             for w in windows}
-    mod = Module3(degree=degree, fieldspec=fieldspec, time_values=times,
-                  level_values=levels, dims={}, edge_ranks={}, prism=p,
-                  cells=cells, bars=bars)
-    dims = mod.dims
-    for x in mod.points():
-        d = bars[x[:2], x[:2]].betti_at_stage(degree, x[2])
-        if d:
-            dims[x] = d
+    mods = [Module3(degree=d, fieldspec=fieldspec, time_values=times,
+                    level_values=levels, dims={}, edge_ranks={}, prism=p,
+                    cells=cells, bars=bars) for d in degrees]
+    for mod in mods:
+        for x in mod.points():
+            d = bars[x[:2], x[:2]].betti_at_stage(mod.degree, x[2])
+            if d:
+                mod.dims[x] = d
     for w in windows:
         # Level edges (w, k) -> (w, k + 1), then window-widening edges.
         for wp, up in ((w, 1), ((w[0] - 1, w[1]), 0), ((w[0], w[1] + 1), 0)):
-            edges = [(w + (k,), wp + (k + up,)) for k in range(nl - up)
-                     if w + (k,) in dims and wp + (k + up,) in dims]
-            if edges:
+            edges = [[(w + (k,), wp + (k + up,)) for k in range(nl - up)
+                      if w + (k,) in mod.dims and wp + (k + up,) in mod.dims]
+                     for mod in mods]
+            if any(edges):
                 bc = bars[w, w] if w == wp else _pair_barcode(
                     cells, w, wp, bars, fieldspec)
-                for x, y in edges:
-                    r = bc.rank(degree, x[2], y[2])
-                    if r:
-                        mod.edge_ranks[(x, y)] = r
-    return mod
+                for mod, mod_edges in zip(mods, edges):
+                    for x, y in mod_edges:
+                        r = bc.rank(mod.degree, x[2], y[2])
+                        if r:
+                            mod.edge_ranks[(x, y)] = r
+    return mods
+
+
+def build_module(p: PrismComplex, degree: int,
+                 fieldspec: FieldSpec = FieldSpec(),
+                 level_values: Optional[List[Fraction]] = None) -> Module3:
+    """Compute dims and adjacent-edge ranks over the full grid.
+
+    The level grid defaults to the distinct vertex values, midpoints between
+    consecutive ones, and one value above the maximum, which captures every
+    combinatorial change of the sublevel complexes; a given grid must be
+    strictly increasing.  It is the one-degree case of ``betti_report``.
+    """
+    if degree < 0:
+        raise ModuleError("degree must be nonnegative")
+    return _build_modules(p, [degree], fieldspec, level_values)[0]
 
 
 @dataclass
@@ -294,10 +300,11 @@ class BettiReport:
 
 def betti_report(p: PrismComplex, max_degree: int,
                  fieldspec: FieldSpec = FieldSpec()) -> BettiReport:
+    """Modules of degrees 0..max_degree, one pass, one shared barcode cache."""
     if max_degree < 0:
         raise ModuleError("max degree must be nonnegative")
-    return BettiReport({j: build_module(p, j, fieldspec)
-                        for j in range(max_degree + 1)})
+    mods = _build_modules(p, range(max_degree + 1), fieldspec)
+    return BettiReport({mod.degree: mod for mod in mods})
 
 
 @dataclass

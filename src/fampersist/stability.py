@@ -112,10 +112,11 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
         return (i, j, bisect_right(m.level_values, c) - 1)
 
     times = mf.time_values
+    levels = sorted(set(mf.level_values) | set(mg.level_values))
     checks = []
     for i in range(len(times)):
         for j in range(i, len(times)):
-            for c in sorted(set(mf.level_values) | set(mg.level_values)):
+            for c in levels:
                 for name, src, dst in (("f_to_g", mf, mg), ("g_to_f", mg, mf)):
                     lo = at(src, i, j, c)
                     lhs = (src.rank(lo, at(src, i, j, c + 2 * epsilon))

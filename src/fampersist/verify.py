@@ -109,11 +109,10 @@ def check_zigzag_subdiagram(fieldspec: FieldSpec) -> CheckResult:
 
 def check_cylinder(fieldspec: FieldSpec) -> CheckResult:
     """Constant circle family: one component above -1, one loop above +1."""
-    fam = cylinder_family(8)
-    prism = fam.to_prism()
+    mods = betti_report(cylinder_family(8).to_prism(), 2, fieldspec).modules
     bad = []
     for degree, threshold in ((0, F(-1)), (1, F(1))):
-        mod = build_module(prism, degree, fieldspec)
+        mod = mods[degree]
         bad += _compare_dims(
             mod, lambda a, b, c, d, th=threshold: 1 if c >= th else 0)
         try:
@@ -123,8 +122,7 @@ def check_cylinder(fieldspec: FieldSpec) -> CheckResult:
             continue
         if len(summands) != 1:
             bad.append(f"degree {degree}: {len(summands)} summands, want 1")
-    mod2 = build_module(prism, 2, fieldspec)
-    bad += _compare_dims(mod2, lambda a, b, c, d: 0)
+    bad += _compare_dims(mods[2], lambda a, b, c, d: 0)
     return CheckResult("cylinder-dims", not bad, "; ".join(bad[:3]))
 
 
@@ -162,11 +160,10 @@ def _wc_expected(a, b, c, degree) -> int:
 
 def check_wrinkled(fieldspec: FieldSpec) -> CheckResult:
     """Exact supports of the bounded pocket and lens summands."""
-    fam = wrinkled_cylinder_family()
-    prism = fam.to_prism()
+    mods = betti_report(wrinkled_cylinder_family().to_prism(), 2,
+                        fieldspec).modules
     bad = []
-    for degree in (0, 1, 2):
-        mod = build_module(prism, degree, fieldspec)
+    for degree, mod in mods.items():
         bad += _compare_dims(mod, _wc_expected)
         if degree == 2:
             continue

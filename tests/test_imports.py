@@ -1,0 +1,55 @@
+"""Every name a package module imports is used in that module.
+
+No linter is installed, so this parses each module with ``ast``.  An import
+kept on purpose, such as one the benchmark tracer wraps by name, carries
+``# noqa: F401`` on its line.  Names in quoted annotations count as used.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fampersist"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        note = getattr(node, "annotation", None) or getattr(node, "returns",
+                                                            None)
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(note.value))
+                     if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detects_unused_and_honours_noqa():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "import sys  # noqa: F401\n"
+              "from a.b import c, d\n"
+              "def f(x: \"d\", y: \"List[int]\") -> \"e\":\n"
+              "    return c\n")
+    assert unused_imports(source) == [(2, "os")]

@@ -17,7 +17,7 @@ import pytest
 from fampersist.family import (PLFamily, cylinder_family, hat_family,
                                wrinkled_cylinder_family, zigzag_family)
 from fampersist.homology import FieldSpec, betti, induced_rank
-from fampersist.module3 import (build_module,
+from fampersist.module3 import (betti_report, build_module,
                                 check_indecomposable_sufficient,
                                 finite_subdiagram, thin_decompose)
 from fampersist.stability import check_interleaving_necessary
@@ -106,34 +106,53 @@ def test_engine_matches_per_point_reference(fam):
                         assert mod.rank(x, y) == ranks[key], (x, y)
 
 
-def hollow_tetrahedra():
-    """Seeded random families on a 2-sphere, so that degree 2 is nonzero."""
+def higher_degree_families():
+    """Seeded random families on a 2-sphere, so that degree 2 is nonzero,
+    and on two disjoint circles, so that degrees 0 and 1 give one edge
+    different ranks."""
     rng = random.Random(11)
-    base = SimplicialComplex.from_maximal(
+    sphere = SimplicialComplex.from_maximal(
         4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    return [pytest.param(random_family(rng, base), id=f"sphere-{n}")
-            for n in range(3)]
+    circles = SimplicialComplex.from_maximal(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    return ([pytest.param(random_family(rng, sphere), id=f"sphere-{n}")
+             for n in range(3)]
+            + [pytest.param(random_family(rng, circles), id=f"circles-{n}")
+               for n in range(2)])
 
 
-@pytest.mark.parametrize("fam", families() + hollow_tetrahedra())
+@pytest.mark.parametrize("fam", families() + higher_degree_families())
 def test_cross_window_ranks_match_slabs(fam):
+    """From build_module, and from one betti_report in degree order, so
+    that degrees 1 and 2 read the pair barcodes that degree 0 cached."""
     prism = fam.to_prism()
     slabs, ranks = {}, {}
     for fieldspec in (FieldSpec(2), FieldSpec(3)):
+        report = betti_report(prism, 2, fieldspec)
         for degree in (0, 1, 2):
-            mod = build_module(prism, degree, fieldspec)
-            for x in mod.points():
-                slabs.setdefault(x, slab_sublevel(
-                    prism, x[0], x[1], mod.level_values[x[2]]).simplices)
-            for x in mod.points():
-                for y in mod.points():
-                    if x[:2] == y[:2] or not (y[0] <= x[0] and x[1] <= y[1]
-                                              and x[2] <= y[2]):
-                        continue
-                    key = (slabs[x], slabs[y], degree, fieldspec)
-                    if key not in ranks:
-                        ranks[key] = induced_rank(*key)
-                    assert mod.rank(x, y) == ranks[key], (x, y, degree)
+            mod, shared = (build_module(prism, degree, fieldspec),
+                           report.modules[degree])
+            assert list(shared.dims.items()) == list(mod.dims.items())
+            assert (list(shared.edge_ranks.items())
+                    == list(mod.edge_ranks.items()))
+            for m in (mod, shared):
+                check_cross_window_ranks(prism, m, slabs, ranks)
+
+
+def check_cross_window_ranks(prism, mod, slabs, ranks):
+    fieldspec, degree = mod.fieldspec, mod.degree
+    for x in mod.points():
+        slabs.setdefault(x, slab_sublevel(
+            prism, x[0], x[1], mod.level_values[x[2]]).simplices)
+    for x in mod.points():
+        for y in mod.points():
+            if x[:2] == y[:2] or not (y[0] <= x[0] and x[1] <= y[1]
+                                      and x[2] <= y[2]):
+                continue
+            key = (slabs[x], slabs[y], degree, fieldspec)
+            if key not in ranks:
+                ranks[key] = induced_rank(*key)
+            assert mod.rank(x, y) == ranks[key], (x, y, degree)
 
 
 def test_module_computations_build_no_slab(monkeypatch):

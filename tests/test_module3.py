@@ -5,6 +5,7 @@ import pytest
 
 from fampersist.family import (cylinder_family, hat_family,
                                wrinkled_cylinder_family, zigzag_family)
+from fampersist import homology
 from fampersist.homology import FieldSpec
 from fampersist.module3 import (Module3, ModuleError, ThinRefusal,
                                 betti_report, build_module,
@@ -155,6 +156,23 @@ class TestBettiReport:
         top = (0, 1, len(mod0.level_values) - 1)
         chi = sum((-1) ** j * report.modules[j].dim(top) for j in (0, 1, 2))
         assert chi == 0
+
+    def test_one_pass_for_every_degree(self, monkeypatch):
+        calls = []
+        reduce = homology.staged_reduce
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return reduce(*args, **kwargs)
+
+        monkeypatch.setattr(homology, "staged_reduce", counting)
+        prism = wrinkled_cylinder_family().to_prism()
+        build_module(prism, 0)
+        assert len(calls) == 35
+        calls.clear()
+        report = betti_report(prism, 2)
+        assert len(calls) == 35
+        assert report.modules[1].bars is report.modules[0].bars
 
 
 class TestThinDecompose:
