@@ -14,7 +14,7 @@ from .family import (FamilyError, KernelSpec, PLFamily, cylinder_family,
                      hat_family, kde_family, nw_regression_family,
                      point_family, wrinkled_cylinder_family, zigzag_family)
 from .homology import (Barcode, FieldSpec, HomologyError, betti,
-                       induced_rank, staged_reduce)
+                       index_filtration, induced_rank, staged_reduce)
 from .module3 import (BettiReport, IntervalSummand, Module3, ModuleError,
                       Subdiagram, ThinRefusal, betti_report, build_module,
                       check_indecomposable_sufficient, finite_subdiagram,

@@ -7,9 +7,16 @@ subcomplex, and a Betti number is the rank of the identity map.  Within
 one filtration, ``Barcode.rank`` counts the bars alive from one stage to
 a later one, and in an image barcode from a stage of a subfiltration to a
 stage of the whole.  Coefficients stay integers mod p throughout, so
-results are exact.  The reduction rejects a face that is missing or listed
-after its coface, which is how ``betti`` and ``induced_rank`` check that
-their input is downward closed.
+results are exact.
+
+The reduction reads integers only: each simplex is the list of positions
+of its faces in the filtration.  ``index_filtration`` builds that input
+from vertex tuples and rejects a face that is missing or listed after its
+coface, which is how ``betti`` and ``induced_rank`` check that their input
+is downward closed.  Columns are reduced from the top dimension down, and
+the column of a simplex that already is the pivot of a higher column is
+cleared, not reduced, when that pivot row belongs to the subfiltration
+(any row, without one): it would reduce to zero.
 """
 
 from __future__ import annotations
@@ -69,95 +76,152 @@ class Barcode:
         return [(b, d) for b, d in self.bars.get(degree, ()) if d is None]
 
 
-def _reduce_columns(columns: list, p: int) -> dict:
-    """Persistence column reduction; returns {death column -> birth column}.
+def _reduce_columns(boundaries: list, row, order, n_sub: int,
+                    fieldspec: FieldSpec) -> dict:
+    """Persistence column reduction; returns {death column -> low row}.
 
-    ``columns`` are boundary columns as {row index: coeff}, reduced in list
-    order, which is the filtration order.
+    ``boundaries[j]`` holds the positions of the faces of the simplex at
+    filtration position j, ``row`` maps a position to its row and ``order``
+    a row to its position.  Columns are reduced by dimension from the top
+    down, each dimension in filtration order, with the same pairs as one
+    left-to-right pass.  Once a column owns a pivot on a member row (below
+    ``n_sub``), the reduced column is a cycle of members that all come
+    before the pivot's simplex and include it, so that simplex's boundary
+    is a combination of earlier columns and reduces to zero: its column is
+    cleared, never reduced (Chen and Kerber 2011).  A pivot on a row past
+    ``n_sub`` clears nothing, since such a cycle may hold later simplices.
     """
-    pairs = {}
-    pivot_of = {}  # low row -> column index owning it
-    for j, col in enumerate(columns):
-        while col:
-            low = max(col)
-            k = pivot_of.get(low)
-            if k is None:
-                break
-            factor = (col[low] * pow(columns[k][low], p - 2, p)) % p
-            for r, v in columns[k].items():
-                nv = (col.get(r, 0) - factor * v) % p
-                if nv:
-                    col[r] = nv
-                else:
-                    col.pop(r, None)
-        if col:
-            low = max(col)
-            pivot_of[low] = j
-            pairs[j] = low
+    p = fieldspec.characteristic
+    sign = (1, p - 1)  # (-1)^k mod p
+    by_dim = {}
+    for j, faces in enumerate(boundaries):
+        if faces:
+            by_dim.setdefault(len(faces), []).append(j)
+    pairs, cleared = {}, set()
+    pivots = {}  # low row -> (reduced column owning it, 1 / its coeff)
+    for d in sorted(by_dim, reverse=True):
+        for j in by_dim[d]:
+            if j in cleared:
+                continue
+            col = {row[f]: sign[k & 1] for k, f in enumerate(boundaries[j])}
+            while col:
+                low = max(col)
+                pivot = pivots.get(low)
+                if pivot is None:
+                    pivots[low] = (col, fieldspec.inv(col[low]))
+                    pairs[j] = low
+                    if low < n_sub:
+                        cleared.add(order[low])
+                    break
+                other, inv = pivot
+                factor = col[low] * inv % p
+                for r, v in other.items():
+                    nv = (col.get(r, 0) - factor * v) % p
+                    if nv:
+                        col[r] = nv
+                    else:
+                        del col[r]
     return pairs
 
 
 def staged_reduce(filtration: Sequence,
                   fieldspec: FieldSpec = FieldSpec(), sub=None) -> Barcode:
-    """Barcode of a staged filtration.
+    """Barcode of a staged filtration of integer-indexed simplices.
 
-    ``filtration`` is an ordered list of (simplex, stage) with faces before
-    cofaces and stages non-decreasing.  Stage-wise Betti counts of the
-    result match ``betti`` on every prefix subcomplex.  Zero-length bars are
-    kept, so the bars born by stage s count the cycles at stage s.
+    ``filtration`` is an ordered list of (faces, stage): ``faces`` holds
+    the positions in this list of a simplex's codimension-1 faces in
+    vertex-removal order, so face k has sign (-1)^k, and is empty for a
+    vertex.  Faces come before cofaces and stages are non-decreasing; this
+    is not checked here, and ``index_filtration`` builds such a list from
+    simplices, checking both.  Stage-wise Betti counts of the result match
+    ``betti`` on every prefix subcomplex.  Zero-length bars are kept, so
+    the bars born by stage s count the cycles at stage s.
 
-    ``sub = (members, barcode)`` names a subfiltration, closed under faces,
-    and its own barcode; the result is then the image barcode, whose
-    ``rank(n, s, t)`` is the rank of H_n(sub at s) -> H_n(whole at t)
-    (Cohen-Steiner, Edelsbrunner, Harer and Morozov 2009).  With the rows
-    of ``members`` first, a column whose pivot is one of them bounds a
-    cycle of ``sub`` at its stage; the other cycles of ``barcode`` live on.
+    ``sub = (members, barcode)`` names a subfiltration by the positions of
+    its simplices, closed under faces, and its own barcode; the result is
+    then the image barcode, whose ``rank(n, s, t)`` is the rank of
+    H_n(sub at s) -> H_n(whole at t) (Cohen-Steiner, Edelsbrunner, Harer
+    and Morozov 2009).  With the rows of ``members`` first, a column whose
+    pivot is one of them bounds a cycle of ``sub`` at its stage; the other
+    cycles of ``barcode`` live on.
     """
-    simplices = [tuple(s) for s, _ in filtration]
-    stages = [int(st) for _, st in filtration]
-    if any(stages[i] > stages[i + 1] for i in range(len(stages) - 1)):
-        raise HomologyError("stage labels must be non-decreasing")
-    members = None if sub is None else sub[0]
-    n_sub = len(simplices) if sub is None else len(members)
-    p = fieldspec.characteristic
-    # Rows: the members in filtration order, then the other simplices.
-    row, order, columns = {}, {}, []  # simplex -> row, row -> position
-    free = [0, n_sub]  # the next row of a member, of any other simplex
-    for i, s in enumerate(simplices):
-        col = {}
-        for k in range(len(s)):
-            f = s[:k] + s[k + 1:]
-            if f in row:
-                col[row[f]] = ((-1) ** k) % p
-            elif f:
-                raise HomologyError(f"face {f!r} of {s!r} missing or out of order")
-        if s in row:
-            raise HomologyError(f"duplicate simplex {s!r}")
-        other = members is not None and s not in members
-        row[s], order[free[other]] = free[other], i
-        free[other] += 1
-        columns.append(col)
-    if free[0] != n_sub:
-        raise HomologyError("sub must be part of the filtration")
-    dims = [len(s) - 1 for s in simplices]
-
-    pairs = _reduce_columns(columns, p)
+    n = len(filtration)
     if sub is None:
-        cycles = Counter((dims[i], stages[i]) for i in order.values()
+        n_sub, order = n, range(n)
+        row = order
+    else:
+        members = sorted(sub[0])
+        n_sub = len(members)
+        is_member = bytearray(n)
+        for i in members:
+            is_member[i] = 1
+        # Rows: the members in filtration order, then the other simplices.
+        order = members + [i for i in range(n) if not is_member[i]]
+        row = [0] * n
+        for r, i in enumerate(order):
+            row[i] = r
+    boundaries = [faces for faces, _ in filtration]
+    stages = [st for _, st in filtration]
+    dims = [len(faces) - 1 if faces else 0 for faces in boundaries]
+
+    pairs = _reduce_columns(boundaries, row, order, n_sub, fieldspec)
+    if sub is None:
+        cycles = Counter((dims[i], stages[i]) for i in range(n)
                          if i not in pairs)
     else:
-        cycles = Counter((n, b) for n, bars in sub[1].bars.items()
+        cycles = Counter((d, b) for d, bars in sub[1].bars.items()
                          for b, _ in bars)
     bc = Barcode()
-    for death, r in pairs.items():
+    for death in sorted(pairs):
+        r = pairs[death]
         if r < n_sub:
             birth = order[r]
             bc.add(dims[birth], stages[birth], stages[death])
             cycles[dims[birth], stages[birth]] -= 1
-    for (n, b), count in cycles.items():
+    for (d, b), count in cycles.items():
         for _ in range(count):
-            bc.add(n, b, None)
+            bc.add(d, b, None)
     return bc
+
+
+def index_filtration(filtration: Sequence, sub=None):
+    """``staged_reduce`` input for a filtration of simplices.
+
+    ``filtration`` is an ordered list of (simplex, stage) with simplices as
+    vertex tuples, and ``sub``, if given, is (set of member simplices,
+    their barcode).  Returns the (faces, stage) list and ``sub`` with its
+    members as positions.  Raises HomologyError for a face that is missing
+    or listed after its coface, a duplicate or empty simplex, falling
+    stages, or a member outside the filtration.
+    """
+    position, entries = {}, []
+    for s, st in filtration:
+        s, st = tuple(s), int(st)
+        if not s:
+            raise HomologyError("the empty simplex is not a simplex")
+        if entries and st < entries[-1][1]:
+            raise HomologyError("stage labels must be non-decreasing")
+        faces = ()
+        if len(s) > 1:
+            try:
+                faces = tuple(position[s[:k] + s[k + 1:]]
+                              for k in range(len(s)))
+            except KeyError as e:
+                raise HomologyError(
+                    f"face {e.args[0]!r} of {s!r} missing or out of order"
+                ) from None
+        if s in position:
+            raise HomologyError(f"duplicate simplex {s!r}")
+        position[s] = len(entries)
+        entries.append((faces, st))
+    if sub is None:
+        return entries, None
+    members, barcode = sub
+    try:
+        rows = sorted({position[tuple(s)] for s in members})
+    except KeyError:
+        raise HomologyError("sub must be part of the filtration") from None
+    return entries, (rows, barcode)
 
 
 def _staged_filtration(sub: frozenset, sup: frozenset):
@@ -176,7 +240,8 @@ def induced_rank(sub: frozenset, sup: frozenset, j: int,
     """
     if not sub <= sup:
         raise HomologyError("sub must be contained in sup")
-    bc = staged_reduce(_staged_filtration(sub, sup), fieldspec)
+    entries, _ = index_filtration(_staged_filtration(sub, sup))
+    bc = staged_reduce(entries, fieldspec)
     return sum(1 for b, d in bc.essential(j) if b == 0)
 
 

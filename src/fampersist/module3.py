@@ -12,6 +12,9 @@ window and every rank between two of its levels as a bar count.  One
 reduction per pair of nested windows, an image barcode, does the same for
 every map from a slab of the inner window into one of the outer.  One pass
 serves every degree, and the modules of all degrees share one barcode cache.
+The prism's cells are listed once per build, each with the positions of its
+faces in that list, and every reduction builds its integer columns from
+those positions.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ class Module3:
     edge_ranks: Dict[Tuple[Point, Point], int]
     prism: Optional[PrismComplex] = None
     # Never serialized, shared by one report's modules: the _lower_star_cells
-    # and the barcodes of each window pair (w, w) and each (w, w') used so far.
+    # with their face index, and the barcodes of each window pair (w, w) and
+    # each (w, w') used so far.
     cells: Optional[list] = None
     bars: Optional[Dict[tuple, Barcode]] = None
 
@@ -124,7 +128,7 @@ class Module3:
         if self.cells is None:
             raise ModuleError(f"the slab at {point} needs the source complex")
         i, j, k = point
-        return frozenset(s for s, lo, hi, st in self.cells
+        return frozenset(s for s, lo, hi, st, _ in self.cells
                          if i <= lo and hi <= j and st <= k)
 
     def rank(self, x: Point, y: Point) -> int:
@@ -209,13 +213,17 @@ class Module3:
 
 
 def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
-    """(simplex, tmin, tmax, stage) for every prism simplex on the grid, in
-    filtration order: by stage, then dimension, then simplex.
+    """(simplex, tmin, tmax, stage, faces) for every prism simplex on the
+    grid, in filtration order: by stage, then dimension, then simplex.
 
     tmin and tmax are the simplex's first and last time index, and stage is
     the first grid index whose level is at least its top vertex value, so
     the slab at (i, j, k) holds exactly the simplices with i <= tmin,
-    tmax <= j and stage <= k.  A simplex above the top level is left out.
+    tmax <= j and stage <= k.  A simplex above the top level is left out,
+    and so is every coface of it.  ``faces`` holds the positions in this
+    list of the codimension-1 faces, in vertex-removal order (face k has
+    sign (-1)^k), and is empty for a vertex: the face index every window's
+    reduction reads.
     """
     cells = []
     for s in p.simplices:
@@ -224,17 +232,32 @@ def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
             times = [v[0] for v in s]
             cells.append((s, min(times), max(times), stage))
     cells.sort(key=lambda c: (c[3], len(c[0]), c[0]))
-    return cells
+    position = {c[0]: g for g, c in enumerate(cells)}
+    return [(s, lo, hi, st,
+             tuple(position[s[:k] + s[k + 1:]] for k in range(len(s)))
+             if len(s) > 1 else ())
+            for s, lo, hi, st in cells]
 
 
 def _pair_barcode(cells, w, wp, bars, fieldspec: FieldSpec) -> Barcode:
     """Barcode whose rank(n, s, t) is the rank of H_n(slab(w, s)) ->
     H_n(slab(wp, t)) for a window w inside wp: wp's own for w == wp, else
-    the image barcode of w, which needs w's own barcode bars[w, w]."""
-    filtration = [(s, st) for s, lo, hi, st in cells
-                  if wp[0] <= lo and hi <= wp[1]]
-    sub = None if w == wp else ({s for s, lo, hi, _ in cells
-                                 if w[0] <= lo and hi <= w[1]}, bars[w, w])
+    the image barcode of w, which needs w's own barcode bars[w, w].
+
+    One pass over the cells picks wp's, in filtration order, and renumbers
+    their faces to positions among them; a window's cells are closed under
+    faces, so every face is already numbered.
+    """
+    (a, b), (ap, bp) = w, wp
+    local = [0] * len(cells)  # cell position -> position in wp's filtration
+    filtration, members = [], []
+    for g, (_, lo, hi, st, faces) in enumerate(cells):
+        if ap <= lo and hi <= bp:
+            if a <= lo and hi <= b:
+                members.append(len(filtration))
+            local[g] = len(filtration)
+            filtration.append((tuple([local[f] for f in faces]), st))
+    sub = None if w == wp else (members, bars[w, w])
     return homology.staged_reduce(filtration, fieldspec, sub=sub)
 
 

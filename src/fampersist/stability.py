@@ -108,20 +108,27 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
         if not set(m.prism.vertex_level.values()) <= set(m.level_values):
             raise FamilyError("a level grid misses a vertex value")
 
-    def at(m, i, j, c):
-        return (i, j, bisect_right(m.level_values, c) - 1)
-
     times = mf.time_values
     levels = sorted(set(mf.level_values) | set(mg.level_values))
+
+    def at(m, shift):
+        return [bisect_right(m.level_values, c + shift) - 1 for c in levels]
+
+    # Per direction, the grid indices of c, c + 2*epsilon in the source and
+    # of c + epsilon in the target, for every level c: none depends on the
+    # window.
+    directions = [(name, src, dst, at(src, 0), at(src, 2 * epsilon),
+                   at(dst, epsilon))
+                  for name, src, dst in (("f_to_g", mf, mg),
+                                         ("g_to_f", mg, mf))]
     checks = []
     for i in range(len(times)):
         for j in range(i, len(times)):
-            for c in levels:
-                for name, src, dst in (("f_to_g", mf, mg), ("g_to_f", mg, mf)):
-                    lo = at(src, i, j, c)
-                    lhs = (src.rank(lo, at(src, i, j, c + 2 * epsilon))
-                           if lo[2] >= 0 else 0)
-                    rhs = dst.dim(at(dst, i, j, c + epsilon))
+            for n, c in enumerate(levels):
+                for name, src, dst, lo, hi, mid in directions:
+                    lhs = (src.rank((i, j, lo[n]), (i, j, hi[n]))
+                           if lo[n] >= 0 else 0)
+                    rhs = dst.dim((i, j, mid[n]))
                     checks.append(ShiftCheck(
                         point=(times[i], times[j], c),
                         direction=name, lhs_rank=lhs, rhs_dim=rhs))

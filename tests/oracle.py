@@ -136,6 +136,16 @@ def component_count(simplices):
     return len({find(v) for v in parent})
 
 
+def downward_closed(simplices):
+    """The given simplices and all their nonempty faces, as sorted tuples."""
+    out = set()
+    for s in simplices:
+        s = tuple(sorted(s))
+        for k in range(1, len(s) + 1):
+            out.update(combinations(s, k))
+    return frozenset(out)
+
+
 def all_downward_closed(n_vertices):
     """Every nonempty downward-closed complex on a fixed labeled vertex set.
 

@@ -1,5 +1,6 @@
-"""Job 0 of every benchmark workload at seed 0 reproduces its recorded
-output digest: the byte-identity gate for changes to the engine."""
+"""The first seed-0 jobs of every benchmark workload reproduce their
+recorded output digests: the byte-identity gate for changes to the
+engine."""
 
 import importlib.util
 import json
@@ -21,12 +22,22 @@ def load_workloads():
 WORKLOADS = load_workloads().WORKLOADS
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_job_zero_matches_golden_digest(name, tmp_path):
+def check_job(name, index, workdir):
     golden = json.loads((PERFBENCH / "golden.json").read_text())
     assert golden["seed"] == 0
     wl = WORKLOADS[name]()
-    job = wl.generate(0, 0, str(tmp_path))
+    job = wl.generate(0, index, str(workdir))
     out = wl.run(job)
     assert wl.check(job, out) == []
-    assert wl.digest(job, out) == golden["digests"][name][0]
+    assert wl.digest(job, out) == golden["digests"][name][index]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_job_zero_matches_golden_digest(name, tmp_path):
+    check_job(name, 0, tmp_path)
+
+
+@pytest.mark.parametrize("index", (1, 2, 3))
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_next_jobs_match_golden_digests(name, index, tmp_path):
+    check_job(name, index, tmp_path)

@@ -5,8 +5,8 @@ import pytest
 
 from fampersist.family import (cylinder_family, hat_family,
                                wrinkled_cylinder_family, zigzag_family)
-from fampersist import homology
-from fampersist.homology import FieldSpec
+from fampersist import homology, module3
+from fampersist.homology import FieldSpec, induced_rank
 from fampersist.module3 import (Module3, ModuleError, ThinRefusal,
                                 betti_report, build_module,
                                 check_indecomposable_sufficient,
@@ -173,6 +173,27 @@ class TestBettiReport:
         report = betti_report(prism, 2)
         assert len(calls) == 35
         assert report.modules[1].bars is report.modules[0].bars
+
+    def test_faces_indexed_once_per_report(self, monkeypatch):
+        calls = []
+        index = module3._lower_star_cells
+
+        def counting(*args):
+            calls.append(1)
+            return index(*args)
+
+        monkeypatch.setattr(module3, "_lower_star_cells", counting)
+        report = betti_report(wrinkled_cylinder_family().to_prism(), 1)
+        assert len(calls) == 1
+        mod = report.modules[0]
+        assert report.modules[1].cells is mod.cells
+        x, y = (1, 2, 0), (0, 3, len(mod.level_values) - 1)
+        assert mod.dim(x) and mod.dim(y)
+        assert ((1, 2), (0, 3)) not in mod.bars
+        r = mod.rank(x, y)
+        assert ((1, 2), (0, 3)) in mod.bars
+        assert len(calls) == 1
+        assert r == induced_rank(mod.slab(x), mod.slab(y), 0)
 
 
 class TestThinDecompose:

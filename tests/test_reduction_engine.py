@@ -1,0 +1,169 @@
+"""The integer-indexed reduction engine against a simplex-keyed reference.
+
+``reference_reduce`` is the reduction the engine replaced: faces looked up
+by vertex tuple, every column reduced left to right, no clearing.  The
+engine (``index_filtration`` then ``staged_reduce``) clears columns and
+reduces by dimension, which must leave every bar, and the order of the
+bars, unchanged: plain and image barcodes, tied and strictly increasing
+stages, members that are no prefix of the filtration, GF(2), GF(3), GF(5).
+"""
+
+from collections import Counter
+
+from hypothesis import example, given, strategies as st
+
+from fampersist.homology import (Barcode, FieldSpec, HomologyError,
+                                 index_filtration, staged_reduce)
+
+from oracle import downward_closed
+
+
+def _reference_columns(columns, p):
+    pairs = {}
+    pivot_of = {}
+    for j, col in enumerate(columns):
+        while col:
+            low = max(col)
+            k = pivot_of.get(low)
+            if k is None:
+                break
+            factor = (col[low] * pow(columns[k][low], p - 2, p)) % p
+            for r, v in columns[k].items():
+                nv = (col.get(r, 0) - factor * v) % p
+                if nv:
+                    col[r] = nv
+                else:
+                    col.pop(r, None)
+        if col:
+            low = max(col)
+            pivot_of[low] = j
+            pairs[j] = low
+    return pairs
+
+
+def reference_reduce(filtration, fieldspec, sub=None):
+    simplices = [tuple(s) for s, _ in filtration]
+    stages = [int(st) for _, st in filtration]
+    if any(stages[i] > stages[i + 1] for i in range(len(stages) - 1)):
+        raise HomologyError("stage labels must be non-decreasing")
+    members = None if sub is None else sub[0]
+    n_sub = len(simplices) if sub is None else len(members)
+    p = fieldspec.characteristic
+    row, order, columns = {}, {}, []
+    free = [0, n_sub]
+    for i, s in enumerate(simplices):
+        col = {}
+        for k in range(len(s)):
+            f = s[:k] + s[k + 1:]
+            if f in row:
+                col[row[f]] = ((-1) ** k) % p
+            elif f:
+                raise HomologyError(f"face {f!r} of {s!r} missing")
+        if s in row:
+            raise HomologyError(f"duplicate simplex {s!r}")
+        other = members is not None and s not in members
+        row[s], order[free[other]] = free[other], i
+        free[other] += 1
+        columns.append(col)
+    if free[0] != n_sub:
+        raise HomologyError("sub must be part of the filtration")
+    dims = [len(s) - 1 for s in simplices]
+
+    pairs = _reference_columns(columns, p)
+    if sub is None:
+        cycles = Counter((dims[i], stages[i]) for i in order.values()
+                         if i not in pairs)
+    else:
+        cycles = Counter((n, b) for n, bars in sub[1].bars.items()
+                         for b, _ in bars)
+    bc = Barcode()
+    for death, r in pairs.items():
+        if r < n_sub:
+            birth = order[r]
+            bc.add(dims[birth], stages[birth], stages[death])
+            cycles[dims[birth], stages[birth]] -= 1
+    for (n, b), count in cycles.items():
+        for _ in range(count):
+            bc.add(n, b, None)
+    return bc
+
+
+def engine_reduce(filtration, fieldspec, sub=None):
+    entries, sub = index_filtration(filtration, sub)
+    return staged_reduce(entries, fieldspec, sub=sub)
+
+
+def assert_same_bars(filtration, members, p):
+    """Plain barcodes of the whole and of the members, then the image
+    barcode of the members, equal to the reference's bar for bar."""
+    fieldspec = FieldSpec(p)
+    inner = [(s, st) for s, st in filtration if s in members]
+    results = []
+    for reduce in (reference_reduce, engine_reduce):
+        whole = reduce(filtration, fieldspec)
+        sub = reduce(inner, fieldspec)
+        image = reduce(filtration, fieldspec, sub=(members, sub))
+        results.append([list(bc.bars.items()) for bc in (whole, sub, image)])
+    assert results[0] == results[1]
+
+
+def filtration_of(complex_, weights, increasing):
+    """Simplices ordered by the largest weight over their faces, then by
+    dimension: faces come first.  Stages are those weights (tied) or the
+    positions (strictly increasing)."""
+    weight = dict(zip(sorted(complex_), weights))
+    level = {s: max(weight[f] for f in downward_closed([s]))
+             for s in complex_}
+    ordered = sorted(complex_, key=lambda s: (level[s], len(s), s))
+    return [(s, i if increasing else level[s])
+            for i, s in enumerate(ordered)]
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(1, 6))
+    simplex = st.lists(st.integers(0, n - 1), min_size=1,
+                       max_size=min(n, 4), unique=True)
+    complex_ = downward_closed(draw(st.lists(simplex, min_size=1,
+                                             max_size=5)))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(complex_),
+                            max_size=len(complex_)))
+    filtration = filtration_of(complex_, weights, draw(st.booleans()))
+    members = downward_closed(draw(st.lists(st.sampled_from(
+        sorted(complex_)), max_size=len(complex_))))
+    return filtration, members
+
+
+HOLLOW_TETRAHEDRON = downward_closed(
+    [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+@given(cases(), st.sampled_from((2, 3, 5)))
+@example((filtration_of(HOLLOW_TETRAHEDRON, [0] * 14, False),
+          downward_closed([(0, 1, 2), (0, 3)])), 3)
+@example((filtration_of(HOLLOW_TETRAHEDRON, range(14), True),
+          downward_closed([(1, 2, 3)])), 5)
+def test_engine_matches_reference(case, p):
+    assert_same_bars(*case, p)
+
+
+def test_hollow_tetrahedron_has_one_void():
+    filtration = filtration_of(HOLLOW_TETRAHEDRON, [0] * 14, False)
+    bc = engine_reduce(filtration, FieldSpec(2))
+    assert [bc.betti_at_stage(d, 0) for d in range(3)] == [1, 0, 1]
+
+
+def test_no_clearing_on_a_non_member_pivot():
+    # The triangle's column keeps its low on (0, 2), which is no member;
+    # (0, 2) still kills vertex 2, so clearing its column would move that
+    # death to (1, 2).
+    filtration = [((0,), 0), ((1,), 1), ((2,), 2), ((0, 1), 3),
+                  ((0, 2), 4), ((1, 2), 5), ((0, 1, 2), 6)]
+    members = downward_closed([(0, 1), (1, 2)])
+    for p in (2, 3, 5):
+        assert_same_bars(filtration, members, p)
+        fieldspec = FieldSpec(p)
+        inner = engine_reduce(
+            [(s, st) for s, st in filtration if s in members], fieldspec)
+        image = engine_reduce(filtration, fieldspec, sub=(members, inner))
+        assert image.bars == {0: [(1, 3), (2, 4), (0, None)]}
