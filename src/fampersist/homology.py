@@ -9,20 +9,26 @@ a later one, and in an image barcode from a stage of a subfiltration to a
 stage of the whole.  Coefficients stay integers mod p throughout, so
 results are exact.
 
-The reduction reads integers only: each simplex is the list of positions
-of its faces in the filtration.  ``index_filtration`` builds that input
-from vertex tuples and rejects a face that is missing or listed after its
-coface, which is how ``betti`` and ``induced_rank`` check that their input
-is downward closed.  Columns are reduced from the top dimension down, and
-the column of a simplex that already is the pivot of a higher column is
-cleared, not reduced, when that pivot row belongs to the subfiltration
-(any row, without one): it would reduce to zero.
+The reduction reads integers only.  A face index lists simplices in
+filtration order, each as the positions of its faces in the index and its
+stage; a reduction takes the positions of one filtration's simplices in
+that index, and its rows are those positions.  ``index_filtration`` builds
+an index from vertex tuples and rejects a face that is missing or listed
+after its coface, which is how ``betti`` and ``induced_rank`` check that
+their input is downward closed.  Columns are reduced from the top
+dimension down, and the column of a simplex that already is the pivot of a
+higher column is cleared, not reduced, when that pivot row belongs to the
+subfiltration (any row, without one): it would reduce to zero.  A plain
+barcode records which of its columns ended zero; an image reduction of a
+subfiltration clears those columns from the start, since whether a column
+reduces to zero does not depend on the order of the rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 
@@ -59,6 +65,10 @@ class Barcode:
     """Bars of a staged filtration: (birth stage, death stage or None) per degree."""
 
     bars: dict = field(default_factory=dict)  # degree -> list of (birth, death|None)
+    # Never serialized, set on plain barcodes only: zero[g] is 1 when the
+    # column of the simplex at position g of the face index ended zero (a
+    # vertex, a cleared column or one that reduced to zero).
+    zero: bytes = field(default=b"", compare=False, repr=False)
 
     def add(self, degree: int, birth: int, death):
         self.bars.setdefault(degree, []).append((birth, death))
@@ -72,46 +82,67 @@ class Barcode:
     def betti_at_stage(self, degree: int, stage: int) -> int:
         return self.rank(degree, stage, stage)
 
+    def betti_curve(self, degree: int, n_stages: int) -> list:
+        """betti_at_stage(degree, s) for s in range(n_stages), from one pass
+        over the bars: births minus deaths up to s, so a zero-length bar
+        never counts.  Every birth must lie below n_stages."""
+        change = [0] * (n_stages + 1)
+        for b, d in self.bars.get(degree, ()):
+            change[b] += 1
+            if d is not None:
+                change[d] -= 1
+        return list(accumulate(change[:n_stages]))
+
     def essential(self, degree: int):
         return [(b, d) for b, d in self.bars.get(degree, ()) if d is None]
 
 
-def _reduce_columns(boundaries: list, row, order, n_sub: int,
+def _reduce_columns(filtration, index, row, zero: bytearray,
                     fieldspec: FieldSpec) -> dict:
     """Persistence column reduction; returns {death column -> low row}.
 
-    ``boundaries[j]`` holds the positions of the faces of the simplex at
-    filtration position j, ``row`` maps a position to its row and ``order``
-    a row to its position.  Columns are reduced by dimension from the top
-    down, each dimension in filtration order, with the same pairs as one
-    left-to-right pass.  Once a column owns a pivot on a member row (below
-    ``n_sub``), the reduced column is a cycle of members that all come
+    ``filtration`` holds positions in ``index``, whose entry g is the
+    (faces, stage) of a simplex, and ``row`` maps a face position to its
+    row (None: the position itself).  Rows below ``len(index)`` are member
+    rows and equal their positions.  Columns are reduced by dimension from
+    the top down, each dimension in filtration order, with the same pairs
+    as one left-to-right pass.  A column marked in ``zero`` is skipped, and
+    every column that ends zero gets marked.  Once a column owns a pivot on
+    a member row, the reduced column is a cycle of members that all come
     before the pivot's simplex and include it, so that simplex's boundary
     is a combination of earlier columns and reduces to zero: its column is
     cleared, never reduced (Chen and Kerber 2011).  A pivot on a row past
-    ``n_sub`` clears nothing, since such a cycle may hold later simplices.
+    the members clears nothing, since such a cycle may hold later
+    simplices.
     """
     p = fieldspec.characteristic
-    sign = (1, p - 1)  # (-1)^k mod p
+    n = len(index)
     by_dim = {}
-    for j, faces in enumerate(boundaries):
+    for j in filtration:
+        faces = index[j][0]
         if faces:
             by_dim.setdefault(len(faces), []).append(j)
-    pairs, cleared = {}, set()
+        else:
+            zero[j] = 1
+    pairs = {}
     pivots = {}  # low row -> (reduced column owning it, 1 / its coeff)
     for d in sorted(by_dim, reverse=True):
+        signs = (1, p - 1) * d  # (-1)^k mod p for face k
         for j in by_dim[d]:
-            if j in cleared:
+            if zero[j]:
                 continue
-            col = {row[f]: sign[k & 1] for k, f in enumerate(boundaries[j])}
+            faces = index[j][0]
+            if row is not None:
+                faces = map(row.__getitem__, faces)
+            col = dict(zip(faces, signs))
             while col:
                 low = max(col)
                 pivot = pivots.get(low)
                 if pivot is None:
                     pivots[low] = (col, fieldspec.inv(col[low]))
                     pairs[j] = low
-                    if low < n_sub:
-                        cleared.add(order[low])
+                    if low < n:
+                        zero[low] = 1
                     break
                 other, inv = pivot
                 factor = col[low] * inv % p
@@ -121,63 +152,65 @@ def _reduce_columns(boundaries: list, row, order, n_sub: int,
                         col[r] = nv
                     else:
                         del col[r]
+            else:
+                zero[j] = 1
     return pairs
 
 
-def staged_reduce(filtration: Sequence,
+def staged_reduce(filtration: Sequence, index: Sequence,
                   fieldspec: FieldSpec = FieldSpec(), sub=None) -> Barcode:
     """Barcode of a staged filtration of integer-indexed simplices.
 
-    ``filtration`` is an ordered list of (faces, stage): ``faces`` holds
-    the positions in this list of a simplex's codimension-1 faces in
-    vertex-removal order, so face k has sign (-1)^k, and is empty for a
-    vertex.  Faces come before cofaces and stages are non-decreasing; this
-    is not checked here, and ``index_filtration`` builds such a list from
-    simplices, checking both.  Stage-wise Betti counts of the result match
-    ``betti`` on every prefix subcomplex.  Zero-length bars are kept, so
-    the bars born by stage s count the cycles at stage s.
+    ``index`` is a face index: entry g is the (faces, stage) of a simplex,
+    ``faces`` holding the positions in ``index`` of its codimension-1 faces
+    in vertex-removal order, so face k has sign (-1)^k, and empty for a
+    vertex.  ``filtration`` lists the increasing positions of this
+    filtration's simplices in ``index``, closed under faces.  Faces come
+    before cofaces and stages are non-decreasing; this is not checked
+    here, and ``index_filtration`` builds such an index from simplices,
+    checking both.  Stage-wise Betti counts of the result match ``betti``
+    on every prefix subcomplex.  Zero-length bars are kept, so the bars
+    born by stage s count the cycles at stage s.  Without ``sub``, the
+    result's ``zero`` marks the positions whose columns ended zero.
 
-    ``sub = (members, barcode)`` names a subfiltration by the positions of
-    its simplices, closed under faces, and its own barcode; the result is
-    then the image barcode, whose ``rank(n, s, t)`` is the rank of
+    ``sub = (members, barcode, zero)`` names a subfiltration by the
+    positions of its simplices, closed under faces, and gives its own
+    barcode and a record of columns known to end zero in this filtration,
+    such as the ``zero`` of this filtration's plain barcode.  The result
+    is then the image barcode, whose ``rank(n, s, t)`` is the rank of
     H_n(sub at s) -> H_n(whole at t) (Cohen-Steiner, Edelsbrunner, Harer
     and Morozov 2009).  With the rows of ``members`` first, a column whose
     pivot is one of them bounds a cycle of ``sub`` at its stage; the other
-    cycles of ``barcode`` live on.
+    cycles of ``barcode`` live on.  The recorded columns are cleared from
+    the start: a column reduces to zero exactly when its boundary lies in
+    the span of the earlier columns, whatever the order of the rows.  A
+    record of zeros clears nothing.
     """
-    n = len(filtration)
+    n = len(index)
     if sub is None:
-        n_sub, order = n, range(n)
-        row = order
+        row, zero = None, bytearray(n)
     else:
-        members = sorted(sub[0])
-        n_sub = len(members)
-        is_member = bytearray(n)
-        for i in members:
-            is_member[i] = 1
-        # Rows: the members in filtration order, then the other simplices.
-        order = members + [i for i in range(n) if not is_member[i]]
-        row = [0] * n
-        for r, i in enumerate(order):
-            row[i] = r
-    boundaries = [faces for faces, _ in filtration]
-    stages = [st for _, st in filtration]
-    dims = [len(faces) - 1 if faces else 0 for faces in boundaries]
+        members, inner, known = sub
+        # Rows: the members at their positions, then the other simplices.
+        row = {g: g + n for g in filtration}
+        row.update(zip(members, members))
+        zero = bytearray(known)
 
-    pairs = _reduce_columns(boundaries, row, order, n_sub, fieldspec)
+    pairs = _reduce_columns(filtration, index, row, zero, fieldspec)
     if sub is None:
-        cycles = Counter((dims[i], stages[i]) for i in range(n)
-                         if i not in pairs)
+        cycles = Counter((max(len(index[g][0]) - 1, 0), index[g][1])
+                         for g in filtration if g not in pairs)
     else:
-        cycles = Counter((d, b) for d, bars in sub[1].bars.items()
+        cycles = Counter((d, b) for d, bars in inner.bars.items()
                          for b, _ in bars)
-    bc = Barcode()
+    bc = Barcode(zero=bytes(zero) if sub is None else b"")
     for death in sorted(pairs):
-        r = pairs[death]
-        if r < n_sub:
-            birth = order[r]
-            bc.add(dims[birth], stages[birth], stages[death])
-            cycles[dims[birth], stages[birth]] -= 1
+        low = pairs[death]
+        if low < n:
+            faces, birth = index[low]
+            d = max(len(faces) - 1, 0)
+            bc.add(d, birth, index[death][1])
+            cycles[d, birth] -= 1
     for (d, b), count in cycles.items():
         for _ in range(count):
             bc.add(d, b, None)
@@ -189,10 +222,12 @@ def index_filtration(filtration: Sequence, sub=None):
 
     ``filtration`` is an ordered list of (simplex, stage) with simplices as
     vertex tuples, and ``sub``, if given, is (set of member simplices,
-    their barcode).  Returns the (faces, stage) list and ``sub`` with its
-    members as positions.  Raises HomologyError for a face that is missing
-    or listed after its coface, a duplicate or empty simplex, falling
-    stages, or a member outside the filtration.
+    their barcode).  Returns the face index, a (faces, stage) list whose
+    whole is the filtration ``range(len(index))``, and ``sub`` with its
+    members as positions and a zero record that marks nothing.  Raises
+    HomologyError for a face that is missing or listed after its coface, a
+    duplicate or empty simplex, falling stages, or a member outside the
+    filtration.
     """
     position, entries = {}, []
     for s, st in filtration:
@@ -221,7 +256,7 @@ def index_filtration(filtration: Sequence, sub=None):
         rows = sorted({position[tuple(s)] for s in members})
     except KeyError:
         raise HomologyError("sub must be part of the filtration") from None
-    return entries, (rows, barcode)
+    return entries, (rows, barcode, bytes(len(entries)))
 
 
 def _staged_filtration(sub: frozenset, sup: frozenset):
@@ -241,7 +276,7 @@ def induced_rank(sub: frozenset, sup: frozenset, j: int,
     if not sub <= sup:
         raise HomologyError("sub must be contained in sup")
     entries, _ = index_filtration(_staged_filtration(sub, sup))
-    bc = staged_reduce(entries, fieldspec)
+    bc = staged_reduce(range(len(entries)), entries, fieldspec)
     return sum(1 for b, d in bc.essential(j) if b == 0)
 
 

@@ -91,20 +91,23 @@ def _looks_like_header(row: List[str]) -> bool:
 
 
 def load_samples(path: str, columns: int) -> List[Tuple[Fraction, ...]]:
-    """Read numeric rows from a CSV file, skipping an optional header row.
+    """Read numeric rows from a CSV file, skipping an optional header row
+    (the first row that is not blank).
 
     Accepts rationals ("3/4") and decimal strings; every data row must have
     at least the requested number of columns.
     """
-    rows = []
+    rows, seen_row = [], False
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             for lineno, row in enumerate(reader):
                 if not row or all(not c.strip() for c in row):
                     continue
-                if lineno == 0 and _looks_like_header(row):
-                    continue
+                if not seen_row:
+                    seen_row = True
+                    if _looks_like_header(row):
+                        continue
                 if len(row) < columns:
                     raise IOFormatError(
                         f"{path}: row {lineno + 1} has {len(row)} columns, "

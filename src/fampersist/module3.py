@@ -12,9 +12,10 @@ window and every rank between two of its levels as a bar count.  One
 reduction per pair of nested windows, an image barcode, does the same for
 every map from a slab of the inner window into one of the outer.  One pass
 serves every degree, and the modules of all degrees share one barcode cache.
-The prism's cells are listed once per build, each with the positions of its
-faces in that list, and every reduction builds its integer columns from
-those positions.
+The prism's cells are listed once per build in filtration order, each with
+the positions of its faces in that list.  Every reduction reads its window's
+cells by those positions, and every image reduction clears the columns that
+ended zero in its outer window's own reduction.
 """
 
 from __future__ import annotations
@@ -78,10 +79,11 @@ class Module3:
     dims: Dict[Point, int]
     edge_ranks: Dict[Tuple[Point, Point], int]
     prism: Optional[PrismComplex] = None
-    # Never serialized, shared by one report's modules: the _lower_star_cells
-    # with their face index, and the barcodes of each window pair (w, w) and
+    # Never serialized, shared by one report's modules: the two lists of
+    # _lower_star_cells, and the barcodes of each window pair (w, w) and
     # each (w, w') used so far.
     cells: Optional[list] = None
+    index: Optional[list] = None
     bars: Optional[Dict[tuple, Barcode]] = None
 
     # ----- queries -------------------------------------------------------
@@ -128,7 +130,8 @@ class Module3:
         if self.cells is None:
             raise ModuleError(f"the slab at {point} needs the source complex")
         i, j, k = point
-        return frozenset(s for s, lo, hi, st, _ in self.cells
+        return frozenset(s for (s, lo, hi), (_, st) in zip(self.cells,
+                                                           self.index)
                          if i <= lo and hi <= j and st <= k)
 
     def rank(self, x: Point, y: Point) -> int:
@@ -154,8 +157,8 @@ class Module3:
             raise ModuleError(f"the map {x} -> {y} needs the source complex")
         pair = (x[:2], y[:2])
         if pair not in self.bars:
-            self.bars[pair] = _pair_barcode(self.cells, *pair, self.bars,
-                                            self.fieldspec)
+            self.bars[pair] = _pair_barcode(self.cells, self.index, *pair,
+                                            self.bars, self.fieldspec)
         return self.bars[pair].rank(self.degree, x[2], y[2])
 
     def support(self):
@@ -213,17 +216,18 @@ class Module3:
 
 
 def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
-    """(simplex, tmin, tmax, stage, faces) for every prism simplex on the
-    grid, in filtration order: by stage, then dimension, then simplex.
+    """The prism's simplices on the grid, in filtration order: by stage,
+    then dimension, then simplex.  Returns two lists over them, ``cells``
+    of (simplex, tmin, tmax) and the face index of (faces, stage).
 
     tmin and tmax are the simplex's first and last time index, and stage is
     the first grid index whose level is at least its top vertex value, so
     the slab at (i, j, k) holds exactly the simplices with i <= tmin,
     tmax <= j and stage <= k.  A simplex above the top level is left out,
-    and so is every coface of it.  ``faces`` holds the positions in this
-    list of the codimension-1 faces, in vertex-removal order (face k has
-    sign (-1)^k), and is empty for a vertex: the face index every window's
-    reduction reads.
+    and so is every coface of it.  ``faces`` holds the positions in these
+    lists of the codimension-1 faces, in vertex-removal order (face k has
+    sign (-1)^k), and is empty for a vertex: every window's reduction reads
+    its cells by position in this index.
     """
     cells = []
     for s in p.simplices:
@@ -233,32 +237,30 @@ def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
             cells.append((s, min(times), max(times), stage))
     cells.sort(key=lambda c: (c[3], len(c[0]), c[0]))
     position = {c[0]: g for g, c in enumerate(cells)}
-    return [(s, lo, hi, st,
-             tuple(position[s[:k] + s[k + 1:]] for k in range(len(s)))
-             if len(s) > 1 else ())
-            for s, lo, hi, st in cells]
+    index = [(tuple(position[s[:k] + s[k + 1:]] for k in range(len(s)))
+              if len(s) > 1 else (), st)
+             for s, _, _, st in cells]
+    return [(s, lo, hi) for s, lo, hi, _ in cells], index
 
 
-def _pair_barcode(cells, w, wp, bars, fieldspec: FieldSpec) -> Barcode:
+def _pair_barcode(cells, index, w, wp, bars, fieldspec: FieldSpec) -> Barcode:
     """Barcode whose rank(n, s, t) is the rank of H_n(slab(w, s)) ->
     H_n(slab(wp, t)) for a window w inside wp: wp's own for w == wp, else
-    the image barcode of w, which needs w's own barcode bars[w, w].
+    the image barcode of w, which needs w's own barcode bars[w, w] and
+    clears the columns that ended zero in bars[wp, wp].
 
-    One pass over the cells picks wp's, in filtration order, and renumbers
-    their faces to positions among them; a window's cells are closed under
-    faces, so every face is already numbered.
+    A window's cells, closed under faces, are reduced by their positions
+    in the shared face index.
     """
     (a, b), (ap, bp) = w, wp
-    local = [0] * len(cells)  # cell position -> position in wp's filtration
-    filtration, members = [], []
-    for g, (_, lo, hi, st, faces) in enumerate(cells):
-        if ap <= lo and hi <= bp:
-            if a <= lo and hi <= b:
-                members.append(len(filtration))
-            local[g] = len(filtration)
-            filtration.append((tuple([local[f] for f in faces]), st))
-    sub = None if w == wp else (members, bars[w, w])
-    return homology.staged_reduce(filtration, fieldspec, sub=sub)
+    window = [g for g, (_, lo, hi) in enumerate(cells)
+              if ap <= lo and hi <= bp]
+    if w == wp:
+        return homology.staged_reduce(window, index, fieldspec)
+    members = [g for g in window if a <= cells[g][1] and cells[g][2] <= b]
+    return homology.staged_reduce(
+        window, index, fieldspec,
+        sub=(members, bars[w, w], bars[wp, wp].zero))
 
 
 def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
@@ -269,18 +271,18 @@ def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ModuleError("level values must be strictly increasing")
     nt, nl = len(times), len(levels)
-    cells = _lower_star_cells(p, levels)
+    cells, index = _lower_star_cells(p, levels)
     windows = [(i, j) for i in range(nt) for j in range(i, nt)]
-    bars = {(w, w): _pair_barcode(cells, w, w, None, fieldspec)
+    bars = {(w, w): _pair_barcode(cells, index, w, w, None, fieldspec)
             for w in windows}
     mods = [Module3(degree=d, fieldspec=fieldspec, time_values=times,
                     level_values=levels, dims={}, edge_ranks={}, prism=p,
-                    cells=cells, bars=bars) for d in degrees]
-    for mod in mods:
-        for x in mod.points():
-            d = bars[x[:2], x[:2]].betti_at_stage(mod.degree, x[2])
-            if d:
-                mod.dims[x] = d
+                    cells=cells, index=index, bars=bars) for d in degrees]
+    for w in windows:
+        for mod in mods:
+            for k, d in enumerate(bars[w, w].betti_curve(mod.degree, nl)):
+                if d:
+                    mod.dims[w + (k,)] = d
     for w in windows:
         # Level edges (w, k) -> (w, k + 1), then window-widening edges.
         for wp, up in ((w, 1), ((w[0] - 1, w[1]), 0), ((w[0], w[1] + 1), 0)):
@@ -289,7 +291,7 @@ def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
                      for mod in mods]
             if any(edges):
                 bc = bars[w, w] if w == wp else _pair_barcode(
-                    cells, w, wp, bars, fieldspec)
+                    cells, index, w, wp, bars, fieldspec)
                 for mod, mod_edges in zip(mods, edges):
                     for x, y in mod_edges:
                         r = bc.rank(mod.degree, x[2], y[2])

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fampersist.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -187,6 +193,16 @@ class TestDensityCommands:
                 "--tres", "4", "--xres", "8")
         assert run(capsys, *args) == run(capsys, *args)
 
+    def test_kde_header_after_blank_line(self, capsys, tmp_path):
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text("x\n-1\n1/2\n1\n")
+        blank.write_text("\nx\n-1\n1/2\n1\n")
+        results = [run(capsys, "kde", "--data", str(data), "--bandwidth",
+                       "1/4:2", "--tres", "4", "--xres", "8")
+                   for data in (plain, blank)]
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
     def test_kde_bad_bandwidth(self, capsys, tmp_path):
         data = tmp_path / "samples.csv"
         data.write_text("0\n")
@@ -272,3 +288,16 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--tamper")
         assert code == 1
         assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("module", "--example", "zigzag:2", "--format", "csv"),
+    ("module", "--example", "nonesuch"),
+])
+def test_python_dash_m_runs_the_cli(capsys, argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "fampersist", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

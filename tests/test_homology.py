@@ -168,7 +168,7 @@ class TestInducedRank:
 def reduce(filtration, fieldspec=FieldSpec(), sub=None):
     """staged_reduce of a filtration of simplices, through index_filtration."""
     entries, sub = index_filtration(filtration, sub)
-    return staged_reduce(entries, fieldspec, sub=sub)
+    return staged_reduce(range(len(entries)), entries, fieldspec, sub=sub)
 
 
 class TestStagedReduce:

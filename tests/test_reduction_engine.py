@@ -2,16 +2,20 @@
 
 ``reference_reduce`` is the reduction the engine replaced: faces looked up
 by vertex tuple, every column reduced left to right, no clearing.  The
-engine (``index_filtration`` then ``staged_reduce``) clears columns and
-reduces by dimension, which must leave every bar, and the order of the
-bars, unchanged: plain and image barcodes, tied and strictly increasing
-stages, members that are no prefix of the filtration, GF(2), GF(3), GF(5).
+engine (``index_filtration`` then ``staged_reduce``) clears columns,
+reduces by dimension and starts an image reduction from the zero columns
+of the whole filtration's plain reduction, which must leave every bar, and
+the order of the bars, unchanged: plain and image barcodes, tied and
+strictly increasing stages, members that are no prefix of the filtration,
+GF(2), GF(3), GF(5).
 """
 
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, strategies as st
 
+from fampersist import homology
 from fampersist.homology import (Barcode, FieldSpec, HomologyError,
                                  index_filtration, staged_reduce)
 
@@ -88,9 +92,25 @@ def reference_reduce(filtration, fieldspec, sub=None):
     return bc
 
 
+def reference_zero_columns(filtration, p):
+    """Marks the positions whose column the reference leaves zero."""
+    position = {tuple(s): i for i, (s, _) in enumerate(filtration)}
+    columns = [{position[s[:k] + s[k + 1:]]: (-1) ** k % p
+                for k in range(len(s)) if len(s) > 1}
+               for s, _ in filtration]
+    pairs = _reference_columns(columns, p)
+    return bytes(j not in pairs for j in range(len(filtration)))
+
+
 def engine_reduce(filtration, fieldspec, sub=None):
+    """The engine; an image reduction gets the whole filtration's zero
+    record from its plain reduction."""
     entries, sub = index_filtration(filtration, sub)
-    return staged_reduce(entries, fieldspec, sub=sub)
+    whole = range(len(entries))
+    if sub is not None:
+        members, inner, _ = sub
+        sub = (members, inner, staged_reduce(whole, entries, fieldspec).zero)
+    return staged_reduce(whole, entries, fieldspec, sub=sub)
 
 
 def assert_same_bars(filtration, members, p):
@@ -145,6 +165,47 @@ HOLLOW_TETRAHEDRON = downward_closed(
           downward_closed([(1, 2, 3)])), 5)
 def test_engine_matches_reference(case, p):
     assert_same_bars(*case, p)
+
+
+@given(cases(), st.sampled_from((2, 3, 5)))
+@example((filtration_of(HOLLOW_TETRAHEDRON, [0] * 14, False),
+          downward_closed([(0, 1, 2), (0, 3)])), 3)
+@example((filtration_of(HOLLOW_TETRAHEDRON, range(14), True),
+          downward_closed([(1, 2, 3)])), 5)
+def test_image_leaves_unpaired_the_outer_zero_columns(case, p):
+    """The plain reduction marks exactly the reference's zero columns, and
+    an image reduction, from no record or from that one, leaves exactly
+    those columns unpaired: reordering the rows moves no zero column."""
+    filtration, members = case
+    fieldspec = FieldSpec(p)
+    inner = engine_reduce([(s, st) for s, st in filtration if s in members],
+                          fieldspec)
+    entries, (rows, _, nothing) = index_filtration(filtration,
+                                                   (members, inner))
+    whole = range(len(entries))
+    outer = staged_reduce(whole, entries, fieldspec)
+    assert outer.zero == reference_zero_columns(filtration, p)
+    left = []
+    reduce_columns = homology._reduce_columns
+
+    def recording(filtration, index, row, zero, fieldspec):
+        pairs = reduce_columns(filtration, index, row, zero, fieldspec)
+        left.append(bytes(zero))
+        return pairs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_reduce_columns", recording)
+        for known in (nothing, outer.zero):
+            staged_reduce(whole, entries, fieldspec, sub=(rows, inner, known))
+    assert left == [outer.zero, outer.zero]
+
+
+def test_zero_record_is_no_part_of_equality():
+    filtration = filtration_of(HOLLOW_TETRAHEDRON, [0] * 14, False)
+    entries, _ = index_filtration(filtration)
+    bc = staged_reduce(range(len(entries)), entries, FieldSpec(2))
+    assert bc.zero and bc == Barcode(bc.bars)
+    assert "zero" not in repr(bc)
 
 
 def test_hollow_tetrahedron_has_one_void():
