@@ -15,7 +15,9 @@ serves every degree, and the modules of all degrees share one barcode cache.
 The prism's cells are listed once per build in filtration order, each with
 the positions of its faces in that list.  Every reduction reads its window's
 cells by those positions, and every image reduction clears the columns that
-ended zero in its outer window's own reduction.
+ended zero in its outer window's own reduction.  The thin decomposition's
+peel check is one more image reduction, of the union of two slabs in the
+slab at their join, which is a prefix of the join's window.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import homology
-from .homology import Barcode, FieldSpec, induced_rank
+from .homology import Barcode, FieldSpec
 from .rational import format_rational, parse_rational
 from .simplicial import PrismComplex
 # Not called here; the tracer in perfbench/tracer.py wraps them by name.
-from .homology import betti  # noqa: F401
+from .homology import betti, induced_rank  # noqa: F401
 from .simplicial import slab_sublevel  # noqa: F401
 
 Point = Tuple[int, int, int]  # (a_index, b_index, c_index), a_index <= b_index
@@ -125,15 +127,6 @@ class Module3:
     def edge_rank(self, x: Point, y: Point) -> int:
         return self.edge_ranks.get((x, y), 0)
 
-    def slab(self, point: Point) -> frozenset:
-        """Simplices of the prism slab at a grid point."""
-        if self.cells is None:
-            raise ModuleError(f"the slab at {point} needs the source complex")
-        i, j, k = point
-        return frozenset(s for (s, lo, hi), (_, st) in zip(self.cells,
-                                                           self.index)
-                         if i <= lo and hi <= j and st <= k)
-
     def rank(self, x: Point, y: Point) -> int:
         """Rank of the structure map x -> y between grid points.
 
@@ -188,11 +181,10 @@ class Module3:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["a", "b", "c", "dim"])
+        times = [format_rational(t) for t in self.time_values]
+        levels = [format_rational(c) for c in self.level_values]
         for i, j, k in self.points():
-            w.writerow([format_rational(self.time_values[i]),
-                        format_rational(self.time_values[j]),
-                        format_rational(self.level_values[k]),
-                        self.dim((i, j, k))])
+            w.writerow([times[i], times[j], levels[k], self.dim((i, j, k))])
         return buf.getvalue()
 
     @classmethod
@@ -218,7 +210,7 @@ class Module3:
 def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
     """The prism's simplices on the grid, in filtration order: by stage,
     then dimension, then simplex.  Returns two lists over them, ``cells``
-    of (simplex, tmin, tmax) and the face index of (faces, stage).
+    of (tmin, tmax) and the face index of (faces, stage).
 
     tmin and tmax are the simplex's first and last time index, and stage is
     the first grid index whose level is at least its top vertex value, so
@@ -240,7 +232,7 @@ def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
     index = [(tuple(position[s[:k] + s[k + 1:]] for k in range(len(s)))
               if len(s) > 1 else (), st)
              for s, _, _, st in cells]
-    return [(s, lo, hi) for s, lo, hi, _ in cells], index
+    return [(lo, hi) for _, lo, hi, _ in cells], index
 
 
 def _pair_barcode(cells, index, w, wp, bars, fieldspec: FieldSpec) -> Barcode:
@@ -253,11 +245,11 @@ def _pair_barcode(cells, index, w, wp, bars, fieldspec: FieldSpec) -> Barcode:
     in the shared face index.
     """
     (a, b), (ap, bp) = w, wp
-    window = [g for g, (_, lo, hi) in enumerate(cells)
+    window = [g for g, (lo, hi) in enumerate(cells)
               if ap <= lo and hi <= bp]
     if w == wp:
         return homology.staged_reduce(window, index, fieldspec)
-    members = [g for g in window if a <= cells[g][1] and cells[g][2] <= b]
+    members = [g for g in window if a <= cells[g][0] and cells[g][1] <= b]
     return homology.staged_reduce(
         window, index, fieldspec,
         sub=(members, bars[w, w], bars[wp, wp].zero))
@@ -409,12 +401,12 @@ def _check_components_split(mod: Module3, comps: List[IntervalSummand]):
                         witness=(x, y))
     if len(comps) < 2 or mod.prism is None:
         return
-    for ca in comps:
-        for cb in comps:
-            if ca is cb:
+    ordered = [sorted(comp.support) for comp in comps]
+    for xs in ordered:
+        for ys in ordered:
+            if xs is ys:
                 continue
-            pair = next(((x, y) for x in sorted(ca.support)
-                         for y in sorted(cb.support) if _leq(x, y)), None)
+            pair = next(((x, y) for x in xs for y in ys if _leq(x, y)), None)
             if pair is not None and mod.rank(*pair) >= 1:
                 raise ThinRefusal(
                     "components are not independent: nonzero map "
@@ -427,13 +419,32 @@ def _top_point(mod: Module3) -> Point:
 
 
 def _joint_rank(mod: Module3, x: Point, xp: Point, y: Point) -> int:
-    """Dimension of the span of the two images in H(y) in degree zero.
+    """Rank of H_n(slab x ∪ slab xp) -> H_n(slab y) for x and xp below y.
 
-    The union of the two slab complexes includes into the slab at y, and in
-    degree zero the image of the union is exactly the sum of the images.
+    In degree zero this is the dimension of the span of the two images in
+    H_0(slab y); in higher degrees the union can carry classes that come
+    from neither slab, so it is only an upper bound on that span.
+
+    The slab at y is a prefix of its window's filtration, and whether a
+    column ends zero depends only on the columns before it, so the image
+    reduction of the union in that prefix clears the columns that ended
+    zero in the window's own reduction.
     """
-    return induced_rank(mod.slab(x) | mod.slab(xp), mod.slab(y),
-                        mod.degree, mod.fieldspec)
+    if mod.bars is None:
+        raise ModuleError(f"the map into {y} needs the source complex")
+    cells, index = mod.cells, mod.index
+
+    def in_slab(g, pt):
+        return (pt[0] <= cells[g][0] and cells[g][1] <= pt[1]
+                and index[g][1] <= pt[2])
+
+    whole = [g for g in range(len(cells)) if in_slab(g, y)]
+    members = [g for g in whole if in_slab(g, x) or in_slab(g, xp)]
+    inner = homology.staged_reduce(members, index, mod.fieldspec)
+    image = homology.staged_reduce(
+        whole, index, mod.fieldspec,
+        sub=(members, inner, mod.bars[y[:2], y[:2]].zero))
+    return image.rank(mod.degree, y[2], y[2])
 
 
 def thin_decompose(mod: Module3) -> List[IntervalSummand]:
@@ -442,9 +453,12 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
     With all dims at most one this is the zigzag component decomposition of
     the support along rank-one edges.  With dims up to two the layer that
     survives to the widest window at the highest level is peeled off first,
-    provided the peel is consistent: any two minimal points of the peel must
-    have images spanning at most one dimension at their join.  Otherwise, or
-    with a dim above two, the module is refused with a witness.
+    provided the peel is consistent: for any two minimal points x, x' of the
+    peel, H_n(slab x ∪ slab x') -> H_n(slab y) at their join y must have
+    rank at most one.  In degree zero that rank is the dimension of the span
+    of the two images at y; in higher degrees it can exceed that span, so
+    the peel may refuse conservatively.  Otherwise, or with a dim above two,
+    the module is refused with a witness.
     """
     support = mod.support()
     if not support:

@@ -17,7 +17,8 @@ import pytest
 from fampersist.family import (PLFamily, cylinder_family, hat_family,
                                wrinkled_cylinder_family, zigzag_family)
 from fampersist.homology import FieldSpec, betti, induced_rank
-from fampersist.module3 import (betti_report, build_module,
+from fampersist.module3 import (_join, _joint_rank, _top_point,
+                                betti_report, build_module,
                                 check_indecomposable_sufficient,
                                 finite_subdiagram, thin_decompose)
 from fampersist.stability import check_interleaving_necessary
@@ -155,12 +156,36 @@ def check_cross_window_ranks(prism, mod, slabs, ranks):
             assert mod.rank(x, y) == ranks[key], (x, y, degree)
 
 
+@pytest.mark.parametrize("fam", families() + higher_degree_families())
+def test_joint_rank_matches_union_of_slabs(fam):
+    """The thin peel's rank of H_n(slab x ∪ slab x') -> H_n(slab y), on
+    seeded pairs of grid points, into their join and into the top point."""
+    prism = fam.to_prism()
+    rng = random.Random(5)
+    for fieldspec in (FieldSpec(2), FieldSpec(3)):
+        mods = betti_report(prism, 2, fieldspec).modules
+        levels = mods[0].level_values
+
+        def slab(pt):
+            return slab_sublevel(prism, pt[0], pt[1], levels[pt[2]]).simplices
+
+        points = list(mods[0].points())
+        for _ in range(8):
+            x, xp = rng.sample(points, 2)
+            for y in (_join(x, xp), _top_point(mods[0])):
+                union, target = slab(x) | slab(xp), slab(y)
+                for degree, mod in mods.items():
+                    assert _joint_rank(mod, x, xp, y) == induced_rank(
+                        union, target, degree, fieldspec), (x, xp, y)
+
+
 def test_module_computations_build_no_slab(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("slab_sublevel called")
+        raise AssertionError("slab_sublevel or induced_rank called")
 
     for owner in ("simplicial", "module3", "stability"):
         monkeypatch.setattr(f"fampersist.{owner}.slab_sublevel", forbidden)
+    monkeypatch.setattr("fampersist.module3.induced_rank", forbidden)
     prism = wrinkled_cylinder_family().to_prism()
     mod = build_module(prism, 0)
     assert max(mod.dims.values()) == 2  # so thin_decompose takes the peel

@@ -193,7 +193,10 @@ class TestBettiReport:
         r = mod.rank(x, y)
         assert ((1, 2), (0, 3)) in mod.bars
         assert len(calls) == 1
-        assert r == induced_rank(mod.slab(x), mod.slab(y), 0)
+        slab_x, slab_y = (slab_sublevel(mod.prism, i, j,
+                                        mod.level_values[k]).simplices
+                          for i, j, k in (x, y))
+        assert r == induced_rank(slab_x, slab_y, 0)
 
 
 class TestThinDecompose:
