@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import parse_rational, snap
+from .rational import SAMPLE_PRECISION, parse_rational, snap
 from .simplicial import PrismComplex, SimplicialComplex, build_prism
 
 NW_DENOMINATOR_GUARD = Fraction(1, 10**12)
@@ -20,6 +20,22 @@ NW_DENOMINATOR_GUARD = Fraction(1, 10**12)
 
 class FamilyError(ValueError):
     pass
+
+
+def _float(value, what: str) -> float:
+    """float(value), or FamilyError when value lies outside float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FamilyError(f"{what} is outside float range") from None
+
+
+def _snap(value: float, what: str) -> Fraction:
+    """snap(value), or FamilyError when the value scaled to
+    SAMPLE_PRECISION digits is no finite float."""
+    if not math.isfinite(value * 10**SAMPLE_PRECISION):
+        raise FamilyError(f"{what} is outside float range")
+    return snap(value)
 
 
 @dataclass(frozen=True)
@@ -204,6 +220,10 @@ def _bandwidths(bandwidth_range, t_res: int):
         raise FamilyError("bandwidth range reversed")
     if t_res < 2:
         raise FamilyError("t_res must be >= 2")
+    # Every bandwidth lies between the two, and so does its float.
+    if not _float(a_min, "minimum bandwidth"):
+        raise FamilyError("minimum bandwidth is outside float range")
+    _float(a_max, "maximum bandwidth")
     return [(Fraction(i, t_res - 1), a_min + (a_max - a_min) * Fraction(i, t_res - 1))
             for i in range(t_res)]
 
@@ -212,13 +232,14 @@ def _x_grid(samples, domain_box, a_max: Fraction, x_res: int):
     if x_res < 2:
         raise FamilyError("x_res must be >= 2")
     if domain_box is None:
-        lo = Fraction(snap(min(samples))) - 3 * a_max
-        hi = Fraction(snap(max(samples))) + 3 * a_max
+        lo = _snap(min(samples), "a sample") - 3 * a_max
+        hi = _snap(max(samples), "a sample") + 3 * a_max
     else:
         lo, hi = parse_rational(domain_box[0]), parse_rational(domain_box[1])
         if hi <= lo:
             raise FamilyError("empty domain box")
-    return [lo + (hi - lo) * Fraction(j, x_res - 1) for j in range(x_res)]
+    return [_float(lo + (hi - lo) * Fraction(j, x_res - 1), "the x grid")
+            for j in range(x_res)]
 
 
 def kde_family(samples: Sequence[float], kernel: KernelSpec,
@@ -229,7 +250,7 @@ def kde_family(samples: Sequence[float], kernel: KernelSpec,
     The sign flip turns superlevel components of the density into sublevel
     components of the family; values are snapped to 12-digit rationals.
     """
-    samples = [float(x) for x in samples]
+    samples = [_float(x, "a sample") for x in samples]
     if not samples:
         raise FamilyError("no samples")
     bws = _bandwidths(bandwidth_range, t_res)
@@ -239,10 +260,9 @@ def kde_family(samples: Sequence[float], kernel: KernelSpec,
     for _, alpha in bws:
         a = float(alpha)
         row = []
-        for x in xs:
-            xf = float(x)
+        for xf in xs:
             val = sum(kernel.evaluate((xf - s) / a) for s in samples) / (n * a)
-            row.append(-snap(val))
+            row.append(-_snap(val, "a density value"))
         rows.append(tuple(row))
     base = SimplicialComplex.path(x_res)
     bps = tuple(t for t, _ in bws)
@@ -257,7 +277,7 @@ def nw_regression_family(pairs, kernel: KernelSpec, bandwidth_range,
     Where the kernel-weight denominator falls below the guard, the value is
     copied from the nearest guarded grid vertex (constant extension).
     """
-    pts = [(float(x), float(y)) for x, y in pairs]
+    pts = [(_float(x, "a sample"), _float(y, "a sample")) for x, y in pairs]
     if not pts:
         raise FamilyError("no sample pairs")
     bws = _bandwidths(bandwidth_range, t_res)
@@ -267,8 +287,7 @@ def nw_regression_family(pairs, kernel: KernelSpec, bandwidth_range,
     for _, alpha in bws:
         a = float(alpha)
         raw = []
-        for x in xs:
-            xf = float(x)
+        for xf in xs:
             weights = [kernel.evaluate((xf - sx) / a) for sx, _ in pts]
             den = sum(weights)
             if den < guard:
@@ -283,7 +302,7 @@ def nw_regression_family(pairs, kernel: KernelSpec, bandwidth_range,
             if val is None:
                 nearest = min(guarded, key=lambda g: abs(g - j))
                 val = raw[nearest]
-            row.append(snap(val))
+            row.append(_snap(val, "a regression value"))
         rows.append(tuple(row))
     base = SimplicialComplex.path(x_res)
     bps = tuple(t for t, _ in bws)

@@ -3,11 +3,12 @@
 One sparse persistence column reduction over GF(p) serves every query:
 ``staged_reduce`` turns a staged filtration into a barcode, the rank of
 an inclusion-induced map counts the essential bars born in the
-subcomplex, and a Betti number is the rank of the identity map.  Within
-one filtration, ``Barcode.rank`` counts the bars alive from one stage to
-a later one, and in an image barcode from a stage of a subfiltration to a
-stage of the whole.  Coefficients stay integers mod p throughout, so
-results are exact.
+subcomplex, and a Betti number is the rank of the identity map.  Two
+queries count bars: ``Barcode.rank`` those alive from one stage to a later
+one (in an image barcode, from a subfiltration's stage to the whole's),
+and ``Barcode.rank_curve`` those alive from every stage to the stage a
+fixed shift later, in one pass.  Coefficients stay integers mod p
+throughout, so results are exact.
 
 The reduction reads integers only.  A face index lists simplices in
 filtration order, each as the positions of its faces in the index and its
@@ -62,7 +63,8 @@ class FieldSpec:
 
 @dataclass
 class Barcode:
-    """Bars of a staged filtration: (birth stage, death stage or None) per degree."""
+    """Bars of a staged filtration: (birth stage, death stage or None) per
+    degree, counted by ``rank`` and ``rank_curve``."""
 
     bars: dict = field(default_factory=dict)  # degree -> list of (birth, death|None)
     # Never serialized, set on plain barcodes only: zero[g] is 1 when the
@@ -79,22 +81,16 @@ class Barcode:
         return sum(1 for b, d in self.bars.get(degree, ())
                    if b <= s and (d is None or d > t))
 
-    def betti_at_stage(self, degree: int, stage: int) -> int:
-        return self.rank(degree, stage, stage)
-
-    def betti_curve(self, degree: int, n_stages: int) -> list:
-        """betti_at_stage(degree, s) for s in range(n_stages), from one pass
-        over the bars: births minus deaths up to s, so a zero-length bar
-        never counts.  Every birth must lie below n_stages."""
+    def rank_curve(self, degree: int, n_stages: int, shift: int) -> list:
+        """[rank(degree, s, s + shift) for s in range(n_stages)] from one
+        pass: a bar (b, d) counts for b <= s < min(d - shift, n_stages)."""
         change = [0] * (n_stages + 1)
         for b, d in self.bars.get(degree, ()):
-            change[b] += 1
-            if d is not None:
-                change[d] -= 1
+            end = n_stages if d is None else min(d - shift, n_stages)
+            if b < end:
+                change[b] += 1
+                change[end] -= 1
         return list(accumulate(change[:n_stages]))
-
-    def essential(self, degree: int):
-        return [(b, d) for b, d in self.bars.get(degree, ()) if d is None]
 
 
 def _reduce_columns(filtration, index, row, zero: bytearray,
@@ -277,7 +273,7 @@ def induced_rank(sub: frozenset, sup: frozenset, j: int,
         raise HomologyError("sub must be contained in sup")
     entries, _ = index_filtration(_staged_filtration(sub, sup))
     bc = staged_reduce(range(len(entries)), entries, fieldspec)
-    return sum(1 for b, d in bc.essential(j) if b == 0)
+    return bc.rank(j, 0, 1)
 
 
 def betti(simplices: frozenset, j: int, fieldspec: FieldSpec = FieldSpec()) -> int:

@@ -10,8 +10,9 @@ Along the level axis a window's slabs are the sublevel sets of a lower-star
 filtration, so one persistence reduction per window gives every dim of the
 window and every rank between two of its levels as a bar count.  One
 reduction per pair of nested windows, an image barcode, does the same for
-every map from a slab of the inner window into one of the outer.  One pass
-serves every degree, and the modules of all degrees share one barcode cache.
+every map from a slab of the inner window into one of the outer.  Dims and
+adjacent-edge ranks are read as rank curves, one pass per barcode, degree
+and direction, and the modules of all degrees share one barcode cache.
 The prism's cells are listed once per build in filtration order, each with
 the positions of its faces in that list.  Every reduction reads its window's
 cells by those positions, and every image reduction clears the columns that
@@ -272,23 +273,23 @@ def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
                     cells=cells, index=index, bars=bars) for d in degrees]
     for w in windows:
         for mod in mods:
-            for k, d in enumerate(bars[w, w].betti_curve(mod.degree, nl)):
+            for k, d in enumerate(bars[w, w].rank_curve(mod.degree, nl, 0)):
                 if d:
                     mod.dims[w + (k,)] = d
     for w in windows:
-        # Level edges (w, k) -> (w, k + 1), then window-widening edges.
+        # Level edges (w, k) -> (w, k + 1), then window-widening edges; a
+        # pair is reduced only when some edge across it joins support points.
         for wp, up in ((w, 1), ((w[0] - 1, w[1]), 0), ((w[0], w[1] + 1), 0)):
-            edges = [[(w + (k,), wp + (k + up,)) for k in range(nl - up)
-                      if w + (k,) in mod.dims and wp + (k + up,) in mod.dims]
-                     for mod in mods]
-            if any(edges):
-                bc = bars[w, w] if w == wp else _pair_barcode(
-                    cells, index, w, wp, bars, fieldspec)
-                for mod, mod_edges in zip(mods, edges):
-                    for x, y in mod_edges:
-                        r = bc.rank(mod.degree, x[2], y[2])
-                        if r:
-                            mod.edge_ranks[(x, y)] = r
+            if w != wp and not any(
+                    w + (k,) in mod.dims and wp + (k,) in mod.dims
+                    for mod in mods for k in range(nl)):
+                continue
+            bc = bars[w, w] if w == wp else _pair_barcode(
+                cells, index, w, wp, bars, fieldspec)
+            for mod in mods:
+                for k, r in enumerate(bc.rank_curve(mod.degree, nl - up, up)):
+                    if r:
+                        mod.edge_ranks[(w + (k,), wp + (k + up,))] = r
     return mods
 
 

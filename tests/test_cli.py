@@ -225,6 +225,27 @@ class TestDensityCommands:
                            "--xres", "8", "--format", "csv")
         assert code == 0 and out.splitlines()[0] == "a,b,c,dim"
 
+    @pytest.mark.parametrize("command, rows, options", [
+        ("kde", "0\n1\n1e400\n", ()),
+        ("kde", "0\n1\n1e300\n", ()),  # overflows once snapped
+        ("kde", "0\n1\n", ("--bandwidth", "1e-400:1")),
+        ("kde", "0\n1\n", ("--bandwidth", "1/4:1e400")),
+        ("kde", "0\n1\n", ("--box", "0:1e400")),
+        ("kde", "0\n1\n", ("--bandwidth", "1e-300:1e-299")),
+        ("regress", "0,0\n1,1e400\n", ()),
+        ("regress", "0,1e300\n1,-1e300\n", ()),
+    ])
+    def test_outside_float_range_exit_3(self, capsys, tmp_path, command,
+                                        rows, options):
+        data = tmp_path / "samples.csv"
+        data.write_text(rows)
+        code, out, err = run(capsys, command, "--data", str(data),
+                             "--bandwidth", "1/4:1", "--tres", "2",
+                             "--xres", "4", *options)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "outside float range" in err
+
     def test_regress_wrong_columns(self, capsys, tmp_path):
         data = tmp_path / "pairs.csv"
         data.write_text("1\n2\n")

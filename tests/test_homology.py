@@ -171,6 +171,16 @@ def reduce(filtration, fieldspec=FieldSpec(), sub=None):
     return staged_reduce(range(len(entries)), entries, fieldspec, sub=sub)
 
 
+def assert_rank_curves(bc):
+    """Every curve of the four stages 0..3 agrees with rank, including those
+    cut off below the last death."""
+    for j in range(3):
+        for shift in range(4):
+            for n_stages in range(5 - shift):
+                assert bc.rank_curve(j, n_stages, shift) == \
+                    [bc.rank(j, s, s + shift) for s in range(n_stages)]
+
+
 class TestStagedReduce:
     def test_single_vertex(self):
         bc = reduce([((0,), 0)])
@@ -180,7 +190,7 @@ class TestStagedReduce:
         filtration = [((0,), 0), ((1,), 0), ((2,), 0),
                       ((0, 1), 0), ((1, 2), 0), ((0, 2), 1)]
         bc = reduce(filtration)
-        assert bc.essential(1) == [(1, None)]
+        assert bc.bars[1] == [(1, None)]
 
     def test_prefix_betti_matches(self):
         rng = random.Random(19)
@@ -190,6 +200,7 @@ class TestStagedReduce:
             stages = sorted(rng.randint(0, 3) for _ in ordered)
             filtration = list(zip(ordered, stages))
             bc = reduce(filtration)
+            assert_rank_curves(bc)
             earlier = {}
             for stage in range(4):
                 prefix = frozenset(s for s, st in filtration if st <= stage)
@@ -197,7 +208,7 @@ class TestStagedReduce:
                 if closed != prefix:
                     continue  # stage cut not a subcomplex; skip this stage
                 for j in range(3):
-                    assert bc.betti_at_stage(j, stage) == betti(prefix, j)
+                    assert bc.rank_curve(j, 4, 0)[stage] == betti(prefix, j)
                     for s, small in earlier.items():
                         assert bc.rank(j, s, stage) == \
                             induced_rank(small, prefix, j)
@@ -216,6 +227,7 @@ class TestStagedReduce:
             inner = reduce(
                 [(s, st) for s, st in filtration if s in members], fieldspec)
             bc = reduce(filtration, fieldspec, sub=(members, inner))
+            assert_rank_curves(bc)
             for s in range(4):
                 small = frozenset(x for x, st in filtration
                                   if st <= s and x in members)

@@ -211,7 +211,7 @@ def test_zero_record_is_no_part_of_equality():
 def test_hollow_tetrahedron_has_one_void():
     filtration = filtration_of(HOLLOW_TETRAHEDRON, [0] * 14, False)
     bc = engine_reduce(filtration, FieldSpec(2))
-    assert [bc.betti_at_stage(d, 0) for d in range(3)] == [1, 0, 1]
+    assert [bc.rank_curve(d, 1, 0)[0] for d in range(3)] == [1, 0, 1]
 
 
 def test_no_clearing_on_a_non_member_pivot():
