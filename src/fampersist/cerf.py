@@ -60,7 +60,7 @@ class Curve:
         out = []
         for k in range(len(self.points) - 1):
             out.append(Segment(self.points[k], self.points[k + 1],
-                               self.indices[min(k, len(self.indices) - 1)],
+                               self.indices[k],
                                classify_sign(self.points[k], self.points[k + 1])))
         return out
 
@@ -163,8 +163,6 @@ def trace_cerf(p: PrismComplex, fieldspec: FieldSpec = FieldSpec()) -> CerfDiagr
     at a common point, which is recorded as a birth/death event.  Anything
     else is rejected as non-generic.
     """
-    if p.n_times == 0:
-        return CerfDiagram(curves=[])
     m = p.n_times - 1
     curves = []
     open_starts = []  # (point, curve, index label)
@@ -180,10 +178,6 @@ def trace_cerf(p: PrismComplex, fieldspec: FieldSpec = FieldSpec()) -> CerfDiagr
         if last < m:
             pts.append((p.time_breakpoints[last + 1],
                         p.vertex_level[(last + 1, v)]))
-        if len(pts) == 1:  # single-fiber family: a degenerate dot "curve"
-            curve = Curve(points=pts, indices=[], base_vertex=v)
-            curves.append(curve)
-            continue
         seg_indices = idxs[:len(pts) - 1]
         curve = Curve(points=pts, indices=seg_indices, base_vertex=v)
         curves.append(curve)

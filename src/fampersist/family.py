@@ -63,13 +63,10 @@ class PLFamily:
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = "gaussian"
-    dimension: int = 1
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "epanechnikov", "triangular"):
             raise FamilyError(f"unknown kernel {self.kind!r}")
-        if self.dimension != 1:
-            raise FamilyError("only 1-dimensional kernels are supported")
 
     def evaluate(self, u: float) -> float:
         if self.kind == "gaussian":

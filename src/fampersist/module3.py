@@ -385,36 +385,6 @@ def _zigzag_components(mod: Module3, support, edge):
     return comps
 
 
-def _check_components_split(mod: Module3, comps: List[IntervalSummand]):
-    """Conservative soundness checks on the rank-one adjacency components.
-
-    Inside a component every adjacent in-support edge must carry rank one,
-    and comparable points of distinct components must have composite rank
-    zero (checked on one witness pair per ordered component pair when the
-    source complex is available)."""
-    for comp in comps:
-        for x in comp.support:
-            for y in mod.neighbors_up(x):
-                if y in comp.support and mod.edge_rank(x, y) == 0:
-                    raise ThinRefusal(
-                        f"support is connected through {x} -> {y} but the "
-                        "edge carries rank 0; not a sum of thin summands",
-                        witness=(x, y))
-    if len(comps) < 2 or mod.prism is None:
-        return
-    ordered = [sorted(comp.support) for comp in comps]
-    for xs in ordered:
-        for ys in ordered:
-            if xs is ys:
-                continue
-            pair = next(((x, y) for x in xs for y in ys if _leq(x, y)), None)
-            if pair is not None and mod.rank(*pair) >= 1:
-                raise ThinRefusal(
-                    "components are not independent: nonzero map "
-                    f"{pair[0]} -> {pair[1]} across components",
-                    witness=pair)
-
-
 def _top_point(mod: Module3) -> Point:
     return (0, len(mod.time_values) - 1, len(mod.level_values) - 1)
 
@@ -452,14 +422,22 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
     """Split the module into thin (pointwise dimension one) summands.
 
     With all dims at most one this is the zigzag component decomposition of
-    the support along rank-one edges.  With dims up to two the layer that
-    survives to the widest window at the highest level is peeled off first,
-    provided the peel is consistent: for any two minimal points x, x' of the
-    peel, H_n(slab x ∪ slab x') -> H_n(slab y) at their join y must have
-    rank at most one.  In degree zero that rank is the dimension of the span
-    of the two images at y; in higher degrees it can exceed that span, so
-    the peel may refuse conservatively.  Otherwise, or with a dim above two,
-    the module is refused with a witness.
+    the support along rank-one edges, refused when two adjacent points of a
+    component have an edge of rank zero.  Points of distinct components
+    need no rank check: a nonzero map x -> y factors through every edge of
+    a monotone lattice path from x to y, so each of those edges is nonzero,
+    hence of rank one, and x and y lie in one component.
+
+    With dims up to two the layer that survives to the widest window at the
+    highest level is peeled off first, provided the peel is consistent: for
+    any two minimal points x, x' of the peel, H_n(slab x ∪ slab x') ->
+    H_n(slab y) at their join y must have rank at most one.  Only joins of
+    dim two are reduced: y lies above a peel point, so its dim is one or
+    two, and a map into a space of dim one has rank at most one.  In degree
+    zero that rank is the dimension of the span of the two images at y; in
+    higher degrees it can exceed that span, so the peel may refuse
+    conservatively.  Otherwise, or with a dim above two, the module is
+    refused with a witness.
     """
     support = mod.support()
     if not support:
@@ -467,7 +445,14 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
     max_dim = max(mod.dims.values())
     if max_dim == 1:
         comps = _zigzag_components(mod, support, mod.edge_rank)
-        _check_components_split(mod, comps)
+        for comp in comps:
+            for x in comp.support:
+                for y in mod.neighbors_up(x):
+                    if y in comp.support and mod.edge_rank(x, y) == 0:
+                        raise ThinRefusal(
+                            f"support is connected through {x} -> {y} but "
+                            "the edge carries rank 0; not a sum of thin "
+                            "summands", witness=(x, y))
         return comps
     if max_dim > 2:
         worst = max(support, key=lambda p: mod.dims[p])
@@ -483,12 +468,11 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
             witness=top)
     peel = {x for x in support if mod.rank(x, top) >= 1}
     minimal = [x for x in sorted(peel)
-               if not any(y in peel and y != x and _leq(y, x)
-                          for y in mod.neighbors_down(x))]
+               if not any(y in peel for y in mod.neighbors_down(x))]
     for idx, x in enumerate(minimal):
         for xp in minimal[idx + 1:]:
             y = _join(x, xp)
-            if _joint_rank(mod, x, xp, y) > 1:
+            if mod.dim(y) == 2 and _joint_rank(mod, x, xp, y) > 1:
                 raise ThinRefusal(
                     "no thin decomposition: the classes at grid points "
                     f"{x} and {xp} stay independent at {y}",

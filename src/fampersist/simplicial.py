@@ -209,9 +209,7 @@ def build_prism(base: SimplicialComplex, time_breakpoints: Sequence,
     for i, _ in enumerate(bps[:-1]):
         for sigma in base.simplices:
             tops.extend(_staircase_prisms(sigma, i))
-    if len(bps) == 1:  # degenerate: a single fiber
-        tops = [tuple((0, v) for v in s) for s in base.simplices]
-    simplices = close_downward(tops) if tops else frozenset()
+    simplices = close_downward(tops)
 
     return PrismComplex(
         base=base,

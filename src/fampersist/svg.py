@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .cerf import CerfDiagram
+from .family import _float
 
 _WIDTH = 640
 _HEIGHT = 480
@@ -21,7 +22,8 @@ def render_cerf_svg(diagram: CerfDiagram,
 
     With strip=(a, b, c) the horizontal segment (a, b) x {c} is overlaid.
     Coordinates get a five percent margin on each side; the level axis
-    points up, so it is flipped into SVG pixel space.
+    points up, so it is flipped into SVG pixel space.  A point outside
+    float range raises FamilyError.
     """
     pts = [pt for c in diagram.curves for pt in c.points]
     pts += list(diagram.events)
@@ -30,8 +32,8 @@ def render_cerf_svg(diagram: CerfDiagram,
         pts += [(a, c), (b, c)]
     if not pts:
         pts = [(0, 0), (1, 1)]
-    xs = [float(t) for t, _ in pts]
-    ys = [float(v) for _, v in pts]
+    xs = [_float(t, "a plotted time") for t, _ in pts]
+    ys = [_float(v, "a plotted value") for _, v in pts]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 == x0:

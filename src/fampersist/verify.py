@@ -15,9 +15,9 @@ from .cerf import CobordismClass, classify_cobordism, trace_cerf
 from .family import (cylinder_family, hat_family, wrinkled_cylinder_family,
                      zigzag_family)
 from .homology import FieldSpec
-from .module3 import (ThinRefusal, betti_report, build_module,
-                      check_indecomposable_sufficient, finite_subdiagram,
-                      thin_decompose)
+from .module3 import (ThinRefusal, _build_modules, betti_report,
+                      build_module, check_indecomposable_sufficient,
+                      finite_subdiagram, thin_decompose)
 from .simplicial import slab_sublevel
 from .stability import check_interleaving_necessary, sup_distance
 
@@ -68,10 +68,9 @@ def check_hat_grid(fieldspec: FieldSpec, tamper: bool = False) -> CheckResult:
     prism = fam.to_prism()
     levels = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(9, 8)]
     bad = []
-    for degree in (0, 1):
-        mod = build_module(prism, degree, fieldspec, level_values=levels)
+    for mod in _build_modules(prism, (0, 1), fieldspec, levels):
         expected = _hat_expected
-        if tamper and degree == 0:
+        if tamper and mod.degree == 0:
             expected = lambda a, b, c, d: _hat_expected(a, b, c, d) + (
                 1 if (a, b, c) == (F(0), F(0), F(0)) else 0)
         bad += _compare_dims(mod, expected)

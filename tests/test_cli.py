@@ -172,6 +172,25 @@ class TestCerfCommand:
                              "--strip", "1,0,1/2")
         assert code == 3 and out == "" and "need a <= b" in err
 
+    @pytest.mark.parametrize("source", ["strip", "family"])
+    def test_outside_float_range_exit_3(self, capsys, tmp_path, source):
+        if source == "strip":
+            argv = ("--example", "hat", "--strip", "0,1,1e400")
+        else:
+            path = tmp_path / "family.json"
+            path.write_text(json.dumps({
+                "base": {"vertices": 1, "simplices": []},
+                "time_breakpoints": ["0", "1/2", "1"],
+                "vertex_values": [["0"], ["1e400"], ["0"]],
+            }))
+            argv = ("--family", str(path))
+        code, out, err = run(capsys, "cerf", *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "outside float range" in err
+        code, out, _ = run(capsys, "cerf", *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["curves"]
+
 
 class TestDensityCommands:
     def test_kde_two_points(self, capsys, tmp_path):

@@ -17,9 +17,9 @@ import pytest
 from fampersist.family import (PLFamily, cylinder_family, hat_family,
                                wrinkled_cylinder_family, zigzag_family)
 from fampersist.homology import FieldSpec, betti, induced_rank
-from fampersist.module3 import (_join, _joint_rank, _top_point,
-                                betti_report, build_module,
-                                check_indecomposable_sufficient,
+from fampersist.module3 import (_join, _joint_rank, _leq, _top_point,
+                                _zigzag_components, betti_report,
+                                build_module, check_indecomposable_sufficient,
                                 finite_subdiagram, thin_decompose)
 from fampersist.stability import check_interleaving_necessary
 from fampersist.verify import run_suite
@@ -177,6 +177,23 @@ def test_joint_rank_matches_union_of_slabs(fam):
                 for degree, mod in mods.items():
                     assert _joint_rank(mod, x, xp, y) == induced_rank(
                         union, target, degree, fieldspec), (x, xp, y)
+
+
+@pytest.mark.parametrize("fam", families() + higher_degree_families())
+def test_components_of_thin_modules_share_no_rank(fam):
+    """With every dim at most one, comparable points of distinct rank-one
+    components have rank zero, so thin_decompose need not check it."""
+    prism = fam.to_prism()
+    for fieldspec in (FieldSpec(2), FieldSpec(3)):
+        for mod in betti_report(prism, 2, fieldspec).modules.values():
+            support = mod.support()
+            if not support or max(mod.dims.values()) > 1:
+                continue
+            for comp in _zigzag_components(mod, support, mod.edge_rank):
+                for x in comp.support:
+                    for y in support - comp.support:
+                        if _leq(x, y):
+                            assert mod.rank(x, y) == 0, (x, y)
 
 
 def test_module_computations_build_no_slab(monkeypatch):

@@ -220,11 +220,28 @@ class TestThinDecompose:
         summands = thin_decompose(mod)
         assert len(summands) == 2
 
+    def test_wrinkled_peel_reduces_no_join_of_dim_one(self, monkeypatch):
+        """Every join of two minimal peel points has dim 1 here, and a
+        map into a space of dim 1 cannot have rank 2."""
+        calls = []
+        joint_rank = module3._joint_rank
+
+        def counted(*args):
+            calls.append(args)
+            return joint_rank(*args)
+
+        monkeypatch.setattr(module3, "_joint_rank", counted)
+        mod = build_module(wrinkled_cylinder_family().to_prism(), 0)
+        assert len(thin_decompose(mod)) == 2
+        assert calls == []
+
     def test_hat_refused_with_witness(self):
         mod = build_module(hat_family(2).to_prism(), 0)
         with pytest.raises(ThinRefusal) as err:
             thin_decompose(mod)
-        assert err.value.witness is not None
+        witness = ((0, 0, 0), (2, 2, 0), (0, 2, 0))
+        assert err.value.witness == witness
+        assert mod.dim(witness[2]) == 2
 
     def test_empty_module(self):
         mod = build_module(hat_family(2).to_prism(), 2)
