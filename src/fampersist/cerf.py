@@ -4,8 +4,11 @@ cobordism classification of slabs.
 A vertex of a fiber is PL-critical when its lower link (neighbors lower in
 the total order by (value, vertex id)) has nonzero reduced homology; the
 index is the degree of that homology plus one, with an empty lower link
-giving index 0 (a local minimum).  Ties are broken by vertex id, so plateau
-pairs created at wrinkle birth/death times stay regular there.
+giving index 0 (a local minimum).  Indices are read from one lower-star
+barcode per fiber, not from the links one by one: the homology of the
+fiber up to a vertex relative to the part below it is that of the cone on
+the lower link relative to the link.  Ties are broken by vertex id, so
+plateau pairs created at wrinkle birth/death times stay regular there.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional
 
-from .homology import FieldSpec, betti
-from .simplicial import ComplexError, PrismComplex, close_downward
+from . import homology
+from .homology import FieldSpec
+from .simplicial import ComplexError, PrismComplex
+# Not called here; the tracer in perfbench/tracer.py wraps it by name.
+from .homology import betti  # noqa: F401
 
 
 class CerfError(ValueError):
@@ -97,40 +103,36 @@ def classify_sign(start, end) -> str:
     return "positive" if end[1] > start[1] else "negative"
 
 
-def _reduced_betti_nonzero_degree(simplices, fieldspec: FieldSpec):
-    """Lowest degree with nonzero reduced homology, or None if acyclic."""
-    if not simplices:
-        return -1  # reduced H_{-1} of the empty complex
-    max_dim = max(len(s) for s in simplices) - 1
-    for j in range(max_dim + 1):
-        b = betti(simplices, j, fieldspec)
-        if j == 0:
-            b -= 1  # reduced
-        if b > 0:
-            return j
-    return None
-
-
 def fiber_critical_vertices(p: PrismComplex, i: int,
                             fieldspec: FieldSpec = FieldSpec()):
     """PL-critical vertices of fiber i with values and index labels.
 
-    The fiber {t_i} x X is the base complex under (i, v) -> v, so lower
-    links are read off the base's vertex links.
+    The fiber {t_i} x X is the base complex under (i, v) -> v.  Its
+    vertices, ranked by (value, id), are the stages of one lower-star
+    filtration K_0 <= K_1 <= ..., whose barcode gives every index at once:
+    K_r is K_{r-1} with the cone from the stage-r vertex over its lower
+    link glued on along that link, so by excision H_k(K_r, K_{r-1}) is the
+    reduced H_{k-1} of the link.  By the exact sequence of the pair, its
+    dimension counts the bars of positive length born at stage r in degree
+    k and those dying there in degree k - 1.  A vertex's index is the
+    lowest such k; an empty link gives a bar born in degree 0, so index 0.
     """
     if not 0 <= i < p.n_times:
         raise ComplexError(f"time index {i} out of range")
-    out = []
-    for v in range(p.base.n_vertices):
-        key = (p.vertex_level[(i, v)], v)
-        lower = [s for s in p.base.link(v)
-                 if all((p.vertex_level[(i, w)], w) < key for w in s)]
-        lower_cx = close_downward(lower) if lower else frozenset()
-        deg = _reduced_betti_nonzero_degree(lower_cx, fieldspec)
-        if deg is not None:
-            out.append(CriticalVertex(v, p.vertex_level[(i, v)], deg + 1))
-    out.sort(key=lambda cv: (cv.value, cv.base_vertex))
-    return out
+    ranked = sorted(range(p.base.n_vertices),
+                    key=lambda v: (p.vertex_level[(i, v)], v))
+    stage = {v: r for r, v in enumerate(ranked)}
+    _, index = homology.lower_star(p.base.simplices, stage)
+    bc = homology.staged_reduce(range(len(index)), index, fieldspec)
+    lowest = {}  # stage -> lowest degree of relative homology there
+    for d, bars in bc.bars.items():
+        for b, e in bars:
+            if b != e:
+                lowest[b] = min(d, lowest.get(b, d))
+                if e is not None:
+                    lowest[e] = min(d + 1, lowest.get(e, d + 1))
+    return [CriticalVertex(v, p.vertex_level[(i, v)], lowest[r])
+            for r, v in enumerate(ranked) if r in lowest]
 
 
 def _runs_by_vertex(p: PrismComplex, fieldspec: FieldSpec):

@@ -16,13 +16,15 @@ stage; a reduction takes the positions of one filtration's simplices in
 that index, and its rows are those positions.  ``index_filtration`` builds
 an index from vertex tuples and rejects a face that is missing or listed
 after its coface, which is how ``betti`` and ``induced_rank`` check that
-their input is downward closed.  Columns are reduced from the top
-dimension down, and the column of a simplex that already is the pivot of a
-higher column is cleared, not reduced, when that pivot row belongs to the
-subfiltration (any row, without one): it would reduce to zero.  A plain
-barcode records which of its columns ended zero; an image reduction of a
-subfiltration clears those columns from the start, since whether a column
-reduces to zero does not depend on the order of the rows.
+their input is downward closed, and ``lower_star`` builds the index of a
+lower-star filtration, each simplex at its vertices' largest stage.
+Columns are reduced from the top dimension down, and the column of a
+simplex that already is the pivot of a higher column is cleared, not
+reduced, when that pivot row belongs to the subfiltration (any row,
+without one): it would reduce to zero.  A plain barcode records which of
+its columns ended zero; an image reduction of a subfiltration clears those
+columns from the start, since whether a column reduces to zero does not
+depend on the order of the rows.
 """
 
 from __future__ import annotations
@@ -253,6 +255,16 @@ def index_filtration(filtration: Sequence, sub=None):
     except KeyError:
         raise HomologyError("sub must be part of the filtration") from None
     return entries, (rows, barcode, bytes(len(entries)))
+
+
+def lower_star(simplices, stage):
+    """Lower-star filtration of a downward-closed set of vertex tuples:
+    each simplex at the largest ``stage[v]`` of its vertices v.  Returns
+    the simplices sorted by (stage, dimension, simplex) and their face
+    index from ``index_filtration``."""
+    staged = sorted((max(stage[v] for v in s), len(s), s) for s in simplices)
+    index, _ = index_filtration([(s, st) for st, _, s in staged])
+    return [s for _, _, s in staged], index
 
 
 def _staged_filtration(sub: frozenset, sup: frozenset):

@@ -28,6 +28,7 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from . import homology
@@ -217,23 +218,16 @@ def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
     the first grid index whose level is at least its top vertex value, so
     the slab at (i, j, k) holds exactly the simplices with i <= tmin,
     tmax <= j and stage <= k.  A simplex above the top level is left out,
-    and so is every coface of it.  ``faces`` holds the positions in these
-    lists of the codimension-1 faces, in vertex-removal order (face k has
-    sign (-1)^k), and is empty for a vertex: every window's reduction reads
-    its cells by position in this index.
+    and so is every coface of it: the kept simplices are a prefix of the
+    lower-star order, closed under faces.  ``faces`` holds the positions in
+    these lists of the codimension-1 faces, in vertex-removal order (face k
+    has sign (-1)^k), and is empty for a vertex: every window's reduction
+    reads its cells by position in this index.
     """
-    cells = []
-    for s in p.simplices:
-        stage = bisect_left(levels, max(p.vertex_level[v] for v in s))
-        if stage < len(levels):
-            times = [v[0] for v in s]
-            cells.append((s, min(times), max(times), stage))
-    cells.sort(key=lambda c: (c[3], len(c[0]), c[0]))
-    position = {c[0]: g for g, c in enumerate(cells)}
-    index = [(tuple(position[s[:k] + s[k + 1:]] for k in range(len(s)))
-              if len(s) > 1 else (), st)
-             for s, _, _, st in cells]
-    return [(lo, hi) for _, lo, hi, _ in cells], index
+    stage = {v: bisect_left(levels, x) for v, x in p.vertex_level.items()}
+    order, index = homology.lower_star(p.simplices, stage)
+    n = bisect_left(index, len(levels), key=itemgetter(1))
+    return [(s[0][0], s[-1][0]) for s in order[:n]], index[:n]
 
 
 def _pair_barcode(cells, index, w, wp, bars, fieldspec: FieldSpec) -> Barcode:

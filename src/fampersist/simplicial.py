@@ -95,20 +95,6 @@ class SimplicialComplex:
         edges = [(i, (i + 1) % n_vertices) for i in range(n_vertices)]
         return cls.from_maximal(n_vertices, edges)
 
-    @property
-    def dim(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
-
-    def link(self, v: int) -> frozenset:
-        """Simplices s with v not in s and s + {v} in the complex."""
-        out = set()
-        for s in self.simplices:
-            if v in s:
-                t = tuple(u for u in s if u != v)
-                if t:
-                    out.add(t)
-        return frozenset(out)
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self.simplices)
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from .cerf import CerfDiagram
-from .family import _float
+from .family import FamilyError, _float
 
 _WIDTH = 640
 _HEIGHT = 480
@@ -23,7 +24,8 @@ def render_cerf_svg(diagram: CerfDiagram,
     With strip=(a, b, c) the horizontal segment (a, b) x {c} is overlaid.
     Coordinates get a five percent margin on each side; the level axis
     points up, so it is flipped into SVG pixel space.  A point outside
-    float range raises FamilyError.
+    float range, or an extent whose width or height with its margins
+    overflows or rounds to zero, raises FamilyError.
     """
     pts = [pt for c in diagram.curves for pt in c.points]
     pts += list(diagram.events)
@@ -42,12 +44,15 @@ def render_cerf_svg(diagram: CerfDiagram,
         y1 = y0 + 1
     mx = 0.05 * (x1 - x0)
     my = 0.05 * (y1 - y0)
+    width, height = x1 - x0 + 2 * mx, y1 - y0 + 2 * my
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise FamilyError("the plotted extent is outside float range")
 
     def px(t) -> float:
-        return (float(t) - (x0 - mx)) / (x1 - x0 + 2 * mx) * _WIDTH
+        return (float(t) - (x0 - mx)) / width * _WIDTH
 
     def py(v) -> float:
-        return _HEIGHT - (float(v) - (y0 - my)) / (y1 - y0 + 2 * my) * _HEIGHT
+        return _HEIGHT - (float(v) - (y0 - my)) / height * _HEIGHT
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '

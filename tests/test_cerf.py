@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from fampersist import cerf, homology
 from fampersist.cerf import (AmbiguityError, CerfError, CobordismClass,
                              classify_cobordism, classify_sign,
                              fiber_critical_vertices, trace_cerf)
 from fampersist.family import (PLFamily, cylinder_family, hat_family,
                                point_family, wrinkled_cylinder_family)
-from fampersist.simplicial import ComplexError, SimplicialComplex, build_prism
+from fampersist.homology import FieldSpec, betti
+from fampersist.simplicial import (ComplexError, SimplicialComplex,
+                                   build_prism, close_downward)
 
 
 def reversed_family(fam: PLFamily) -> PLFamily:
@@ -42,6 +46,90 @@ class TestFiberCritical:
         for i in (-1, prism.n_times):
             with pytest.raises(ComplexError):
                 fiber_critical_vertices(prism, i)
+
+
+def link(base: SimplicialComplex, v: int) -> frozenset:
+    return frozenset(tuple(u for u in s if u != v)
+                     for s in base.simplices if v in s and len(s) > 1)
+
+
+def lower_link_critical_vertices(p, i, fieldspec):
+    """Reference: reduced Betti numbers of each lower link, one degree at
+    a time; the index is the lowest nonzero degree plus one."""
+    out = []
+    for v in range(p.base.n_vertices):
+        key = (p.vertex_level[(i, v)], v)
+        lower = close_downward(
+            s for s in link(p.base, v)
+            if all((p.vertex_level[(i, w)], w) < key for w in s))
+        if not lower:
+            out.append((v, p.vertex_level[(i, v)], 0))
+            continue
+        for j in range(max(len(s) for s in lower)):
+            if betti(lower, j, fieldspec) > (j == 0):
+                out.append((v, p.vertex_level[(i, v)], j + 1))
+                break
+    return sorted(out, key=lambda c: (c[1], c[0]))
+
+
+PROJECTIVE_PLANE = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+
+BASES = {
+    "path": SimplicialComplex.path(5),
+    "circle": SimplicialComplex.circle(5),
+    "filled triangles": SimplicialComplex.from_maximal(
+        5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 4)]),
+    "disk cone": SimplicialComplex.from_maximal(
+        6, [(k, (k + 1) % 5, 5) for k in range(5)]),
+    "hollow tetrahedron": SimplicialComplex.from_maximal(
+        4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+    "two tetrahedra on a face": SimplicialComplex.from_maximal(
+        5, [(0, 1, 2, 3), (1, 2, 3, 4)]),
+    # Its cone point's lower link, the whole plane, has homology over
+    # GF(2) only.
+    "projective plane cone": SimplicialComplex.from_maximal(
+        7, [s + (6,) for s in PROJECTIVE_PLANE]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@pytest.mark.parametrize("p", [2, 3])
+def test_critical_vertices_match_lower_link_homology(name, p):
+    base, fieldspec = BASES[name], FieldSpec(p)
+    rng = random.Random(f"{name}:{p}")
+    for _ in range(40):
+        # Few distinct values, so ties broken by vertex id are common.
+        rows = [[rng.randint(0, 3) for _ in range(base.n_vertices)]
+                for _ in range(2)]
+        prism = build_prism(base, [0, 1], rows)
+        for i in range(prism.n_times):
+            got = [(cv.base_vertex, cv.value, cv.index) for cv in
+                   fiber_critical_vertices(prism, i, fieldspec)]
+            assert got == lower_link_critical_vertices(prism, i, fieldspec)
+
+
+def test_projective_plane_cone_point_critical_over_gf2_only():
+    base = BASES["projective plane cone"]
+    prism = build_prism(base, [0, 1], [[0] * 6 + [1]] * 2)
+    for p, want in ((2, [(6, 2)]), (3, [])):
+        crits = fiber_critical_vertices(prism, 0, FieldSpec(p))
+        assert [(cv.base_vertex, cv.index) for cv in crits
+                if cv.base_vertex == 6] == want
+
+
+def test_one_reduction_per_fiber(monkeypatch):
+    calls = {"staged_reduce": 0, "betti": 0}
+    for owner, name in ((homology, "staged_reduce"), (cerf, "betti")):
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    trace_cerf(wrinkled_cylinder_family().to_prism())
+    assert calls == {"staged_reduce": 5, "betti": 0}
 
 
 class TestTraceCerf:

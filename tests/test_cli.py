@@ -172,16 +172,23 @@ class TestCerfCommand:
                              "--strip", "1,0,1/2")
         assert code == 3 and out == "" and "need a <= b" in err
 
-    @pytest.mark.parametrize("source", ["strip", "family"])
+    @pytest.mark.parametrize("source", [
+        "strip", "family", "wide strip", "low strip", "high flat family"])
     def test_outside_float_range_exit_3(self, capsys, tmp_path, source):
-        if source == "strip":
-            argv = ("--example", "hat", "--strip", "0,1,1e400")
+        # The last three have finite points only, but the plotted extent
+        # with its margins overflows, or rounds to zero height.
+        strips = {"strip": "0,1,1e400", "wide strip": "-1.7e308,1.7e308,1",
+                  "low strip": "0,1,-1.7e308"}
+        values = {"family": ["0", "1e400", "0"],
+                  "high flat family": ["1e300"] * 3}
+        if source in strips:
+            argv = ("--example", "hat", f"--strip={strips[source]}")
         else:
             path = tmp_path / "family.json"
             path.write_text(json.dumps({
                 "base": {"vertices": 1, "simplices": []},
                 "time_breakpoints": ["0", "1/2", "1"],
-                "vertex_values": [["0"], ["1e400"], ["0"]],
+                "vertex_values": [[v] for v in values[source]],
             }))
             argv = ("--family", str(path))
         code, out, err = run(capsys, "cerf", *argv)
