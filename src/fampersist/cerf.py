@@ -9,17 +9,33 @@ barcode per fiber, not from the links one by one: the homology of the
 fiber up to a vertex relative to the part below it is that of the cone on
 the lower link relative to the link.  Ties are broken by vertex id, so
 plateau pairs created at wrinkle birth/death times stay regular there.
+
+Each fiber's indices are read once into a table.  Critical vertices are
+matched across fibers by base-vertex identity: each maximal run of
+breakpoints on which a vertex is critical is one curve along its values,
+extended one breakpoint past each interior end.  Those open ends must meet
+in pairs of adjacent index at a common point, a birth or death event.
+Otherwise the family is not generic, and AmbiguityError names the first
+unpaired end, births before deaths, then by (t, value): "cannot pair birth
+endpoints at t=0, value=1: ...".
+
+A strip (a,b) x {c} is classified from the slope signs of the curves
+crossing it.  It is UNCLASSIFIED when it is not regular: an event lies on
+it, a flat segment at level c overlaps it, a curve touches level c inside
+it without crossing, or a curve crosses level c at a strip corner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional
+from itertools import groupby
+from typing import List
 
 from . import homology
 from .homology import FieldSpec
+from .rational import format_rational
 from .simplicial import ComplexError, PrismComplex
 # Not called here; the tracer in perfbench/tracer.py wraps it by name.
 from .homology import betti  # noqa: F401
@@ -60,7 +76,7 @@ class Segment:
 class Curve:
     points: List[tuple]  # (t, value), strictly increasing t
     indices: List[int]  # per segment
-    base_vertex: Optional[int] = None
+    base_vertex: int
 
     def segments(self):
         out = []
@@ -74,15 +90,14 @@ class Curve:
 @dataclass
 class CerfDiagram:
     curves: List[Curve]
-    events: List[tuple] = field(default_factory=list)  # (t, value)
+    events: List[tuple]  # (t, value)
 
     def all_segments(self):
         for c in self.curves:
             yield from c.segments()
 
     def to_json_dict(self):
-        from .rational import format_rational as fr
-
+        fr = format_rational
         return {
             "curves": [
                 {
@@ -135,113 +150,65 @@ def fiber_critical_vertices(p: PrismComplex, i: int,
             for r, v in enumerate(ranked) if r in lowest]
 
 
-def _runs_by_vertex(p: PrismComplex, fieldspec: FieldSpec):
-    """Maximal runs of consecutive breakpoints on which a vertex is critical."""
-    per_time = [
-        {cv.base_vertex: cv for cv in fiber_critical_vertices(p, i, fieldspec)}
-        for i in range(p.n_times)
-    ]
-    runs = []  # (vertex, first index, last index, index label)
-    open_runs = {}
-    for i, crits in enumerate(per_time):
-        for v, cv in crits.items():
-            if v in open_runs and open_runs[v][-1][0] == i - 1:
-                open_runs[v].append((i, cv))
-            else:
-                if v in open_runs:
-                    runs.append((v, open_runs.pop(v)))
-                open_runs[v] = [(i, cv)]
-    runs.extend((v, items) for v, items in open_runs.items())
-    return runs
-
-
 def trace_cerf(p: PrismComplex, fieldspec: FieldSpec = FieldSpec()) -> CerfDiagram:
-    """Trace critical-value curves across breakpoints.
-
-    Critical vertices are matched across consecutive fibers by base-vertex
-    identity.  A curve whose run starts (ends) at an interior breakpoint is
-    extended one breakpoint backward (forward) along its vertex's values;
-    such open ends must pair up exactly, two ends of adjacent index meeting
-    at a common point, which is recorded as a birth/death event.  Anything
-    else is rejected as non-generic.
-    """
+    """Trace critical-value curves across breakpoints (see the module
+    docstring).  A segment carries the index at its left end, or at its
+    right end where it extends a run backward."""
     m = p.n_times - 1
+    index = [{cv.base_vertex: cv.index
+              for cv in fiber_critical_vertices(p, i, fieldspec)}
+             for i in range(p.n_times)]
     curves = []
-    open_starts = []  # (point, curve, index label)
-    open_ends = []
-    for v, items in _runs_by_vertex(p, fieldspec):
-        first, last = items[0][0], items[-1][0]
-        pts = [(p.time_breakpoints[i], cv.value) for i, cv in items]
-        idxs = [cv.index for _, cv in items]
-        if first > 0:
-            pts.insert(0, (p.time_breakpoints[first - 1],
-                           p.vertex_level[(first - 1, v)]))
-            idxs.insert(0, idxs[0])
-        if last < m:
-            pts.append((p.time_breakpoints[last + 1],
-                        p.vertex_level[(last + 1, v)]))
-        seg_indices = idxs[:len(pts) - 1]
-        curve = Curve(points=pts, indices=seg_indices, base_vertex=v)
-        curves.append(curve)
-        if first > 0:
-            open_starts.append((pts[0], curve, items[0][1].index))
-        if last < m:
-            open_ends.append((pts[-1], curve, items[-1][1].index))
+    ends = {}  # (label, point) -> index labels of the open ends there
+    for v in range(p.base.n_vertices):
+        for critical, run in groupby(range(p.n_times),
+                                     key=lambda i: v in index[i]):
+            if not critical:
+                continue
+            run = list(run)
+            first, last = run[0], run[-1]
+            lo, hi = max(first - 1, 0), min(last + 1, m)
+            pts = [(p.time_breakpoints[i], p.vertex_level[(i, v)])
+                   for i in range(lo, hi + 1)]
+            curves.append(Curve(pts, [index[max(i, first)][v]
+                                      for i in range(lo, hi)], v))
+            if first > 0:
+                ends.setdefault(("birth", pts[0]), []).append(index[first][v])
+            if last < m:
+                ends.setdefault(("death", pts[-1]), []).append(index[last][v])
 
-    curves.sort(key=lambda c: (c.points[0],
-                               -1 if c.base_vertex is None else c.base_vertex))
-    events = []
-    for label, group in (("birth", open_starts), ("death", open_ends)):
-        by_point = {}
-        for pt, curve, idx in group:
-            by_point.setdefault(pt, []).append((curve, idx))
-        for pt, members in by_point.items():
-            if len(members) != 2 or abs(members[0][1] - members[1][1]) != 1:
-                raise AmbiguityError(
-                    f"cannot pair {label} endpoints at {pt}: family is not "
-                    "generic for this tracer")
-            events.append(pt)
-    return CerfDiagram(curves=curves, events=sorted(events))
+    curves.sort(key=lambda c: (c.points[0], c.base_vertex))
+    for (label, (t, value)), labels in sorted(ends.items()):
+        if len(labels) != 2 or abs(labels[0] - labels[1]) != 1:
+            raise AmbiguityError(
+                f"cannot pair {label} endpoints at t={format_rational(t)}, "
+                f"value={format_rational(value)}: family is not generic "
+                "for this tracer")
+    return CerfDiagram(curves, sorted(pt for _, pt in ends))
 
 
 def _crossings(diagram: CerfDiagram, a: Fraction, b: Fraction, c: Fraction):
-    """Signs of transversal crossings of curves with the open segment
-    (a,b) x {c}; raises CerfError on any regularity violation."""
-    for t, v in diagram.events:
-        if a <= t <= b and v == c:
-            raise CerfError(f"event point at (t={t}) lies on the strip edge")
+    """Signs of the curves' crossings of the open segment (a,b) x {c}, or
+    None when the strip is not regular (see the module docstring)."""
+    if any(a <= t <= b and v == c for t, v in diagram.events):
+        return None
     signs = []
     for curve in diagram.curves:
-        pts = curve.points
-        touched = []  # param t where the curve meets level c inside [a, b]
-        for k in range(len(pts) - 1):
-            (t0, v0), (t1, v1) = pts[k], pts[k + 1]
-            if v0 == v1:
+        hits = {}  # t -> slope sign where the curve meets level c in [a, b]
+        for seg in curve.segments():
+            (t0, v0), (t1, v1) = seg.start, seg.end
+            if seg.sign == "flat":
                 if v0 == c and t0 < b and t1 > a:
-                    raise CerfError(
-                        f"flat segment at level {c} inside the strip")
+                    return None
                 continue
-            lo, hi = min(v0, v1), max(v0, v1)
-            if not (lo <= c <= hi):
+            if not min(v0, v1) <= c <= max(v0, v1):
                 continue
             tc = t0 + (t1 - t0) * (c - v0) / (v1 - v0)
-            if tc < a or tc > b:
-                continue
-            touched.append((tc, "positive" if v1 > v0 else "negative"))
-        # Merge duplicate hits at shared polyline vertices.
-        merged = []
-        for tc, sgn in sorted(touched):
-            if merged and merged[-1][0] == tc:
-                if merged[-1][1] != sgn:
-                    raise CerfError(
-                        f"curve touches level {c} non-transversally at t={tc}")
-                continue
-            merged.append((tc, sgn))
-        for tc, sgn in merged:
-            if tc == a or tc == b:
-                raise CerfError(
-                    f"curve passes through the strip corner at t={tc}")
-            signs.append(sgn)
+            if a <= tc <= b and hits.setdefault(tc, seg.sign) != seg.sign:
+                return None
+        if a in hits or b in hits:
+            return None
+        signs.extend(hits.values())
     return signs
 
 
@@ -249,16 +216,14 @@ def classify_cobordism(diagram: CerfDiagram, a, b, c) -> CobordismClass:
     """Classify the slab over [a,b] at level c from its Cerf crossings.
 
     All crossings positive -> left product; all negative -> right product;
-    none -> product with no critical points; both -> mixed.  Regularity
-    violations (flat segments at level c, events or crossings on the strip
-    boundary) give UNCLASSIFIED.
+    none -> product with no critical points; both -> mixed.  A strip that
+    is not regular (see the module docstring) gives UNCLASSIFIED.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a > b:
         raise CerfError("need a <= b")
-    try:
-        signs = _crossings(diagram, a, b, c)
-    except CerfError:
+    signs = _crossings(diagram, a, b, c)
+    if signs is None:
         return CobordismClass.UNCLASSIFIED
     if not signs:
         return CobordismClass.NO_CRITICAL_POINTS_PRODUCT

@@ -35,8 +35,9 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical lowest-terms string: "p/q", or "p" when q == 1."""
-    x = Fraction(x)
+    """Canonical lowest-terms string: "p/q", or "p" when q == 1.
+
+    x is a Fraction or an int, both already in lowest terms."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -8,7 +8,8 @@ from fampersist.cerf import (AmbiguityError, CerfError, CobordismClass,
                              classify_cobordism, classify_sign,
                              fiber_critical_vertices, trace_cerf)
 from fampersist.family import (PLFamily, cylinder_family, hat_family,
-                               point_family, wrinkled_cylinder_family)
+                               point_family, wrinkled_cylinder_family,
+                               zigzag_family)
 from fampersist.homology import FieldSpec, betti
 from fampersist.simplicial import (ComplexError, SimplicialComplex,
                                    build_prism, close_downward)
@@ -199,6 +200,19 @@ class TestTraceCerf:
         with pytest.raises(AmbiguityError):
             trace_cerf(prism)
 
+    def test_ambiguity_names_the_earliest_unpaired_end(self):
+        # Each edge's minimum moves to its other vertex after t = 0, so both
+        # edges leave an unpaired birth there; the lower one is named, not
+        # the one whose vertex is lower once it is critical.
+        base = SimplicialComplex.from_maximal(4, [(0, 1), (2, 3)])
+        rows = [(0, 1, 2, 3), (5, 4, 3, 2), (5, 4, 3, 2)]
+        prism = build_prism(base, [F(0), F(1, 2), F(1)], rows)
+        with pytest.raises(AmbiguityError) as excinfo:
+            trace_cerf(prism)
+        assert str(excinfo.value) == (
+            "cannot pair birth endpoints at t=0, value=1: family is not "
+            "generic for this tracer")
+
     def test_json_shape(self):
         data = trace_cerf(hat_family(2).to_prism()).to_json_dict()
         assert data["curves"][0]["points"] == [["0", "0"], ["1/2", "1"],
@@ -258,6 +272,19 @@ class TestClassifyCobordism:
         assert classify_cobordism(self.hat, F(1, 4), F(5, 8), F(1, 2)) == \
             CobordismClass.UNCLASSIFIED
 
+    def test_touch_without_crossing_unclassified(self):
+        # The graph meets level 1 at its peak t = 1/2 and turns back.
+        diagram = trace_cerf(
+            point_family([("0", "0"), ("1/2", "1"), ("1", "0")]).to_prism())
+        assert classify_cobordism(diagram, F(1, 4), F(3, 4), F(1)) == \
+            CobordismClass.UNCLASSIFIED
+
+    def test_crossing_through_a_polyline_vertex_counts_once(self):
+        diagram = trace_cerf(
+            point_family([("0", "0"), ("1/2", "1"), ("1", "2")]).to_prism())
+        assert classify_cobordism(diagram, F(1, 4), F(3, 4), F(1)) == \
+            CobordismClass.LEFT_PRODUCT
+
     def test_event_on_segment_unclassified(self):
         assert classify_cobordism(self.wrinkled, F(0), F(1, 2), F(2)) == \
             CobordismClass.UNCLASSIFIED
@@ -285,3 +312,226 @@ class TestClassifyCobordism:
     def test_bad_interval(self):
         with pytest.raises(CerfError):
             classify_cobordism(self.hat, F(1), F(0), F(1, 2))
+
+
+# ----- differential test against the run-list tracer -------------------------
+#
+# The reference below is the tracer and strip classifier that trace_cerf and
+# classify_cobordism replaced: runs collected into a list first, open ends
+# paired per kind, and crossings re-derived from the raw points, with
+# regularity violations raised as CerfError.
+
+
+def reference_runs_by_vertex(p, fieldspec):
+    per_time = [
+        {cv.base_vertex: cv for cv in fiber_critical_vertices(p, i, fieldspec)}
+        for i in range(p.n_times)
+    ]
+    runs = []  # (vertex, [(breakpoint index, critical vertex), ...])
+    open_runs = {}
+    for i, crits in enumerate(per_time):
+        for v, cv in crits.items():
+            if v in open_runs and open_runs[v][-1][0] == i - 1:
+                open_runs[v].append((i, cv))
+            else:
+                if v in open_runs:
+                    runs.append((v, open_runs.pop(v)))
+                open_runs[v] = [(i, cv)]
+    runs.extend((v, items) for v, items in open_runs.items())
+    return runs
+
+
+def reference_trace_cerf(p, fieldspec):
+    m = p.n_times - 1
+    curves = []
+    open_starts = []  # (point, curve, index label)
+    open_ends = []
+    for v, items in reference_runs_by_vertex(p, fieldspec):
+        first, last = items[0][0], items[-1][0]
+        pts = [(p.time_breakpoints[i], cv.value) for i, cv in items]
+        idxs = [cv.index for _, cv in items]
+        if first > 0:
+            pts.insert(0, (p.time_breakpoints[first - 1],
+                           p.vertex_level[(first - 1, v)]))
+            idxs.insert(0, idxs[0])
+        if last < m:
+            pts.append((p.time_breakpoints[last + 1],
+                        p.vertex_level[(last + 1, v)]))
+        curve = cerf.Curve(pts, idxs[:len(pts) - 1], v)
+        curves.append(curve)
+        if first > 0:
+            open_starts.append((pts[0], curve, items[0][1].index))
+        if last < m:
+            open_ends.append((pts[-1], curve, items[-1][1].index))
+
+    curves.sort(key=lambda c: (c.points[0], c.base_vertex))
+    events = []
+    for label, group in (("birth", open_starts), ("death", open_ends)):
+        by_point = {}
+        for pt, curve, idx in group:
+            by_point.setdefault(pt, []).append((curve, idx))
+        for pt, members in by_point.items():
+            if len(members) != 2 or abs(members[0][1] - members[1][1]) != 1:
+                raise AmbiguityError(f"cannot pair {label} endpoints at {pt}")
+            events.append(pt)
+    return cerf.CerfDiagram(curves, sorted(events))
+
+
+def reference_crossings(diagram, a, b, c):
+    for t, v in diagram.events:
+        if a <= t <= b and v == c:
+            raise CerfError("event point on the strip")
+    signs = []
+    for curve in diagram.curves:
+        pts = curve.points
+        touched = []  # param t where the curve meets level c inside [a, b]
+        for k in range(len(pts) - 1):
+            (t0, v0), (t1, v1) = pts[k], pts[k + 1]
+            if v0 == v1:
+                if v0 == c and t0 < b and t1 > a:
+                    raise CerfError("flat segment at level c inside the strip")
+                continue
+            lo, hi = min(v0, v1), max(v0, v1)
+            if not (lo <= c <= hi):
+                continue
+            tc = t0 + (t1 - t0) * (c - v0) / (v1 - v0)
+            if tc < a or tc > b:
+                continue
+            touched.append((tc, "positive" if v1 > v0 else "negative"))
+        merged = []
+        for tc, sgn in sorted(touched):
+            if merged and merged[-1][0] == tc:
+                if merged[-1][1] != sgn:
+                    raise CerfError("touch without a crossing")
+                continue
+            merged.append((tc, sgn))
+        for tc, sgn in merged:
+            if tc == a or tc == b:
+                raise CerfError("crossing at a strip corner")
+            signs.append(sgn)
+    return signs
+
+
+def reference_classify(diagram, a, b, c):
+    try:
+        signs = reference_crossings(diagram, a, b, c)
+    except CerfError:
+        return CobordismClass.UNCLASSIFIED
+    if not signs:
+        return CobordismClass.NO_CRITICAL_POINTS_PRODUCT
+    if all(s == "positive" for s in signs):
+        return CobordismClass.LEFT_PRODUCT
+    if all(s == "negative" for s in signs):
+        return CobordismClass.RIGHT_PRODUCT
+    return CobordismClass.MIXED
+
+
+DIFFERENTIAL_BASES = {
+    "path": SimplicialComplex.path(4),
+    "circle": SimplicialComplex.circle(4),
+    "two filled triangles": SimplicialComplex.from_maximal(
+        4, [(0, 1, 2), (1, 2, 3)]),
+}
+
+
+def seeded_families(name, p):
+    """Seeded prisms over one base.  One vertex moves by 1/2 per breakpoint,
+    so values tie often, and a tie that splits is a birth or death."""
+    base = DIFFERENTIAL_BASES[name]
+    rng = random.Random(f"differential:{name}:{p}")
+    for _ in range(20):
+        inner = sorted(rng.sample(range(1, 8), rng.randint(1, 3)))
+        times = [F(0)] + [F(k, 8) for k in inner] + [F(1)]
+        row = [F(rng.randint(0, 4), 2) for _ in range(base.n_vertices)]
+        rows = [row]
+        for _ in inner + [1]:
+            row = list(row)
+            row[rng.randrange(base.n_vertices)] += rng.choice([F(-1, 2),
+                                                               F(1, 2)])
+            rows.append(row)
+        yield build_prism(base, times, rows)
+
+
+def midpoints(xs):
+    xs = sorted(set(xs))
+    return sorted(xs + [(x + y) / 2 for x, y in zip(xs, xs[1:])])
+
+
+def strip_grid(diagram, prism):
+    times = midpoints(prism.time_breakpoints)
+    levels = midpoints(v for c in diagram.curves for _, v in c.points)
+    return [(a, b, c) for i, a in enumerate(times) for b in times[i:]
+            for c in levels]
+
+
+def constructed_families():
+    """The built-in examples and their time reversals; a circle whose
+    minimum and maximum swap roles, so its curves change index; and a path
+    whose two new minima are born at one point, which is not generic."""
+    examples = [hat_family(4), zigzag_family(3), cylinder_family(4),
+                wrinkled_cylinder_family()]
+    for fam in examples + [reversed_family(fam) for fam in examples]:
+        yield fam.to_prism()
+    yield build_prism(SimplicialComplex.circle(4), [0, F(1, 2), 1],
+                      [(0, 1, 2, 1), (2, 1, 0, 1), (2, 1, 0, 1)])
+    yield build_prism(SimplicialComplex.path(3), [0, F(1, 2), 1],
+                      [(1, 0, 1), (0, 1, 0), (0, 1, 0)])
+
+
+def traced_families(name, p):
+    """(prism, reference diagram or None) for each family of a kind."""
+    fieldspec = FieldSpec(p)
+    prisms = (constructed_families() if name == "constructed"
+              else seeded_families(name, p))
+    for prism in prisms:
+        try:
+            yield prism, reference_trace_cerf(prism, fieldspec)
+        except AmbiguityError:
+            yield prism, None
+
+
+@pytest.mark.parametrize("name", ["constructed", *DIFFERENTIAL_BASES])
+@pytest.mark.parametrize("p", [2, 3])
+def test_trace_and_classify_match_reference(name, p):
+    outcomes = set()
+    for prism, want in traced_families(name, p):
+        outcomes.add(want is None)
+        if want is None:
+            with pytest.raises(AmbiguityError):
+                trace_cerf(prism, FieldSpec(p))
+            continue
+        got = trace_cerf(prism, FieldSpec(p))
+        assert [(c.points, c.indices, c.base_vertex) for c in got.curves] == \
+            [(c.points, c.indices, c.base_vertex) for c in want.curves]
+        assert got.events == want.events
+        for a, b, c in strip_grid(want, prism):
+            assert classify_cobordism(got, a, b, c) == \
+                reference_classify(want, a, b, c), (a, b, c)
+    assert outcomes == {True, False}  # both generic and rejected families
+
+
+def sublevel_bettis(prism, i, keep, fieldspec):
+    """Betti numbers of the full subcomplex of fiber i on the vertices
+    whose value passes keep, built from vertex tuples."""
+    simplices = frozenset(s for s in prism.base.simplices
+                          if all(keep(prism.vertex_level[(i, v)]) for v in s))
+    return [betti(simplices, j, fieldspec)
+            for j in range(max(map(len, prism.base.simplices)))]
+
+
+@pytest.mark.parametrize("name", ["constructed", *DIFFERENTIAL_BASES])
+@pytest.mark.parametrize("p", [2, 3])
+def test_betti_changes_only_at_curve_values(name, p):
+    fieldspec = FieldSpec(p)
+    for prism, diagram in traced_families(name, p):
+        if diagram is None:
+            continue
+        for i, t in enumerate(prism.time_breakpoints):
+            curve_values = {v for c in diagram.curves for s, v in c.points
+                            if s == t}
+            for c in {prism.vertex_level[(i, v)]
+                      for v in range(prism.base.n_vertices)}:
+                below = sublevel_bettis(prism, i, lambda x: x < c, fieldspec)
+                up_to = sublevel_bettis(prism, i, lambda x: x <= c, fieldspec)
+                if below != up_to:
+                    assert c in curve_values, (t, c)

@@ -172,6 +172,20 @@ class TestCerfCommand:
                              "--strip", "1,0,1/2")
         assert code == 3 and out == "" and "need a <= b" in err
 
+    def test_nongeneric_family_names_the_end(self, capsys, tmp_path):
+        # The path family of test_cerf's test_nongeneric_family_rejected.
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({
+            "base": {"vertices": 3, "simplices": [[0, 1], [1, 2]]},
+            "time_breakpoints": ["0", "1/2", "1"],
+            "vertex_values": [["0", "1", "2"], ["0", "-1", "2"],
+                              ["0", "-1", "2"]],
+        }))
+        code, out, err = run(capsys, "cerf", "--family", str(path))
+        assert code == 3 and out == ""
+        assert err == ("error: cannot pair birth endpoints at t=0, value=1: "
+                       "family is not generic for this tracer\n")
+
     @pytest.mark.parametrize("source", [
         "strip", "family", "wide strip", "low strip", "high flat family"])
     def test_outside_float_range_exit_3(self, capsys, tmp_path, source):
