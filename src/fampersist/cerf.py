@@ -27,7 +27,7 @@ it without crossing, or a curve crosses level c at a strip corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
@@ -77,24 +77,19 @@ class Curve:
     points: List[tuple]  # (t, value), strictly increasing t
     indices: List[int]  # per segment
     base_vertex: int
+    # Built once, from points and indices, when the curve is.
+    segments: List[Segment] = field(init=False, repr=False)
 
-    def segments(self):
-        out = []
-        for k in range(len(self.points) - 1):
-            out.append(Segment(self.points[k], self.points[k + 1],
-                               self.indices[k],
-                               classify_sign(self.points[k], self.points[k + 1])))
-        return out
+    def __post_init__(self):
+        self.segments = [Segment(s, e, i, classify_sign(s, e))
+                         for s, e, i in zip(self.points, self.points[1:],
+                                            self.indices)]
 
 
 @dataclass
 class CerfDiagram:
     curves: List[Curve]
     events: List[tuple]  # (t, value)
-
-    def all_segments(self):
-        for c in self.curves:
-            yield from c.segments()
 
     def to_json_dict(self):
         fr = format_rational
@@ -103,7 +98,7 @@ class CerfDiagram:
                 {
                     "points": [[fr(t), fr(v)] for t, v in c.points],
                     "segments": [{"index": s.index, "sign": s.sign}
-                                 for s in c.segments()],
+                                 for s in c.segments],
                 }
                 for c in self.curves
             ],
@@ -195,7 +190,7 @@ def _crossings(diagram: CerfDiagram, a: Fraction, b: Fraction, c: Fraction):
     signs = []
     for curve in diagram.curves:
         hits = {}  # t -> slope sign where the curve meets level c in [a, b]
-        for seg in curve.segments():
+        for seg in curve.segments:
             (t0, v0), (t1, v1) = seg.start, seg.end
             if seg.sign == "flat":
                 if v0 == c and t0 < b and t1 > a:

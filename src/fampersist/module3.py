@@ -10,9 +10,11 @@ Along the level axis a window's slabs are the sublevel sets of a lower-star
 filtration, so one persistence reduction per window gives every dim of the
 window and every rank between two of its levels as a bar count.  One
 reduction per pair of nested windows, an image barcode, does the same for
-every map from a slab of the inner window into one of the outer.  Dims and
-adjacent-edge ranks are read as rank curves, one pass per barcode, degree
-and direction, and the modules of all degrees share one barcode cache.
+every map from a slab of the inner window into one of the outer.  A module
+is a view of these window-pair barcodes: the dims are read from the window
+barcodes as rank curves, one pass per barcode and degree, and every
+structure map, adjacent edges included, is a bar count in the barcode of
+its pair, kept in one cache that the modules of all degrees share.
 The prism's cells are listed once per build in filtration order, each with
 the positions of its faces in that list.  Every reduction reads its window's
 cells by those positions, and every image reduction clears the columns that
@@ -33,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import homology
 from .homology import Barcode, FieldSpec
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 from .simplicial import PrismComplex
 # Not called here; the tracer in perfbench/tracer.py wraps them by name.
 from .homology import betti, induced_rank  # noqa: F401
@@ -81,14 +83,13 @@ class Module3:
     time_values: List[Fraction]
     level_values: List[Fraction]
     dims: Dict[Point, int]
-    edge_ranks: Dict[Tuple[Point, Point], int]
-    prism: Optional[PrismComplex] = None
+    prism: PrismComplex
     # Never serialized, shared by one report's modules: the two lists of
-    # _lower_star_cells, and the barcodes of each window pair (w, w) and
-    # each (w, w') used so far.
-    cells: Optional[list] = None
-    index: Optional[list] = None
-    bars: Optional[Dict[tuple, Barcode]] = None
+    # _lower_star_cells, and the barcodes of each window pair (w, w), each
+    # adjacent pair (w, w') that the build reduced and each pair used since.
+    cells: list
+    index: list
+    bars: Dict[tuple, Barcode]
 
     # ----- queries -------------------------------------------------------
 
@@ -126,17 +127,15 @@ class Module3:
         if k > 0:
             yield (i, j, k - 1)
 
-    def edge_rank(self, x: Point, y: Point) -> int:
-        return self.edge_ranks.get((x, y), 0)
-
     def rank(self, x: Point, y: Point) -> int:
         """Rank of the structure map x -> y between grid points.
 
-        Identities, maps with a zero end and adjacent edges are read from
-        the dims and the stored nonzero edge ranks.  Every other map is a
-        bar count in the barcode of its window pair, reduced on first use
-        and kept for the next map between the same two windows.  Composing
-        edge ranks would only bound these from above.
+        Identities and maps with a zero end are read from the dims.  Every
+        other map, an adjacent edge or a longer one, is a bar count in the
+        barcode of its window pair: the build keeps the window barcodes and
+        those of the adjacent pairs it reduced, and any other pair is
+        reduced on first use and kept for the next map between the same two
+        windows.  Composing edge ranks would only bound these from above.
         """
         self._check_point(x)
         self._check_point(y)
@@ -146,10 +145,6 @@ class Module3:
             return self.dim(x)
         if not self.dim(x) or not self.dim(y):
             return 0
-        if y in self.neighbors_up(x):
-            return self.edge_rank(x, y)
-        if self.bars is None:
-            raise ModuleError(f"the map {x} -> {y} needs the source complex")
         pair = (x[:2], y[:2])
         if pair not in self.bars:
             self.bars[pair] = _pair_barcode(self.cells, self.index, *pair,
@@ -162,14 +157,24 @@ class Module3:
     # ----- serialization --------------------------------------------------
 
     def to_json_dict(self):
+        """The dims over the grid and the positive adjacent-edge ranks,
+        sorted.  Edges are rank curves: shift 1 over each window's barcode
+        for its level edges, shift 0 over each window-widening pair (w, w')
+        in the cache.  The build reduces every such pair except where, in
+        every degree it builds and at every level, one end has dim 0, so a
+        pair that it skipped and a later query cached adds only ranks 0."""
         nt, nl = len(self.time_values), len(self.level_values)
         dims = [[[self.dim((i, j, k)) for k in range(nl)]
                  if i <= j else None
                  for j in range(nt)] for i in range(nt)]
-        edges = sorted(
-            ([list(x), list(y), r] for (x, y), r in self.edge_ranks.items()
-             if r > 0),
-            key=lambda e: (e[0], e[1]))
+        edges = []
+        for (w, wp), bc in self.bars.items():
+            up = int(w == wp)
+            if up or wp in ((w[0] - 1, w[1]), (w[0], w[1] + 1)):
+                curve = bc.rank_curve(self.degree, nl - up, up)
+                edges += ([[*w, k], [*wp, k + up], r]
+                          for k, r in enumerate(curve) if r)
+        edges.sort()
         return {
             "degree": self.degree,
             "field": self.fieldspec.characteristic,
@@ -188,25 +193,6 @@ class Module3:
         for i, j, k in self.points():
             w.writerow([times[i], times[j], levels[k], self.dim((i, j, k))])
         return buf.getvalue()
-
-    @classmethod
-    def from_json_dict(cls, data) -> "Module3":
-        times = [parse_rational(t) for t in data["time_values"]]
-        levels = [parse_rational(c) for c in data["level_values"]]
-        dims = {}
-        for i, row in enumerate(data["dims"]):
-            for j, col in enumerate(row):
-                if col is None:
-                    continue
-                for k, d in enumerate(col):
-                    if d:
-                        dims[(i, j, k)] = int(d)
-        edges = {(tuple(x), tuple(y)): int(r)
-                 for x, y, r in data.get("edge_ranks", [])}
-        return cls(degree=int(data["degree"]),
-                   fieldspec=FieldSpec(int(data["field"])),
-                   time_values=times, level_values=levels,
-                   dims=dims, edge_ranks=edges)
 
 
 def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
@@ -252,7 +238,8 @@ def _pair_barcode(cells, index, w, wp, bars, fieldspec: FieldSpec) -> Barcode:
 
 def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
                    level_values: Optional[List[Fraction]] = None):
-    """One module per degree; windows and edge-carrying pairs reduced once."""
+    """One module per degree, all reading one cache of window barcodes and
+    of the window-widening pairs that join support points."""
     times = list(p.time_breakpoints)
     levels = list(level_values) if level_values is not None else p.level_values()
     if any(a >= b for a, b in zip(levels, levels[1:])):
@@ -263,7 +250,7 @@ def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
     bars = {(w, w): _pair_barcode(cells, index, w, w, None, fieldspec)
             for w in windows}
     mods = [Module3(degree=d, fieldspec=fieldspec, time_values=times,
-                    level_values=levels, dims={}, edge_ranks={}, prism=p,
+                    level_values=levels, dims={}, prism=p,
                     cells=cells, index=index, bars=bars) for d in degrees]
     for w in windows:
         for mod in mods:
@@ -271,26 +258,20 @@ def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
                 if d:
                     mod.dims[w + (k,)] = d
     for w in windows:
-        # Level edges (w, k) -> (w, k + 1), then window-widening edges; a
-        # pair is reduced only when some edge across it joins support points.
-        for wp, up in ((w, 1), ((w[0] - 1, w[1]), 0), ((w[0], w[1] + 1), 0)):
-            if w != wp and not any(
-                    w + (k,) in mod.dims and wp + (k,) in mod.dims
-                    for mod in mods for k in range(nl)):
-                continue
-            bc = bars[w, w] if w == wp else _pair_barcode(
-                cells, index, w, wp, bars, fieldspec)
-            for mod in mods:
-                for k, r in enumerate(bc.rank_curve(mod.degree, nl - up, up)):
-                    if r:
-                        mod.edge_ranks[(w + (k,), wp + (k + up,))] = r
+        # A widening pair is reduced only when some edge across it joins
+        # support points.
+        for wp in ((w[0] - 1, w[1]), (w[0], w[1] + 1)):
+            if any(w + (k,) in mod.dims and wp + (k,) in mod.dims
+                   for mod in mods for k in range(nl)):
+                bars[w, wp] = _pair_barcode(cells, index, w, wp, bars,
+                                            fieldspec)
     return mods
 
 
 def build_module(p: PrismComplex, degree: int,
                  fieldspec: FieldSpec = FieldSpec(),
                  level_values: Optional[List[Fraction]] = None) -> Module3:
-    """Compute dims and adjacent-edge ranks over the full grid.
+    """Compute dims over the full grid and the barcodes of its maps.
 
     The level grid defaults to the distinct vertex values, midpoints between
     consecutive ones, and one value above the maximum, which captures every
@@ -355,26 +336,23 @@ def finite_subdiagram(mod: Module3, points: List[Point]) -> Subdiagram:
 
 def _zigzag_components(mod: Module3, support, edge):
     """Components of the support under adjacent edges with edge(x, y) >= 1."""
-
-    def adjacency(x):
-        return ([y for y in mod.neighbors_up(x) if edge(x, y) >= 1]
-                + [y for y in mod.neighbors_down(x) if edge(y, x) >= 1])
-
     seen = set()
     comps = []
     for start in sorted(support):
         if start in seen:
             continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
+        comp, stack = {start}, [start]
         while stack:
             x = stack.pop()
-            for y in adjacency(x):
-                if y in support and y not in seen:
-                    seen.add(y)
+            linked = [y for y in mod.neighbors_up(x)
+                      if y in support and edge(x, y) >= 1]
+            linked += [y for y in mod.neighbors_down(x)
+                       if y in support and edge(y, x) >= 1]
+            for y in linked:
+                if y not in comp:
                     comp.add(y)
                     stack.append(y)
+        seen |= comp
         comps.append(IntervalSummand(frozenset(comp)))
     return comps
 
@@ -395,8 +373,6 @@ def _joint_rank(mod: Module3, x: Point, xp: Point, y: Point) -> int:
     reduction of the union in that prefix clears the columns that ended
     zero in the window's own reduction.
     """
-    if mod.bars is None:
-        raise ModuleError(f"the map into {y} needs the source complex")
     cells, index = mod.cells, mod.index
 
     def in_slab(g, pt):
@@ -415,64 +391,56 @@ def _joint_rank(mod: Module3, x: Point, xp: Point, y: Point) -> int:
 def thin_decompose(mod: Module3) -> List[IntervalSummand]:
     """Split the module into thin (pointwise dimension one) summands.
 
-    With all dims at most one this is the zigzag component decomposition of
-    the support along rank-one edges, refused when two adjacent points of a
-    component have an edge of rank zero.  Points of distinct components
-    need no rank check: a nonzero map x -> y factors through every edge of
-    a monotone lattice path from x to y, so each of those edges is nonzero,
-    hence of rank one, and x and y lie in one component.
+    A dim above two is refused at once, with a witness.  With dims up to
+    two the layer that survives to the widest window at the highest level
+    is peeled off first, provided the peel is consistent: for any two
+    minimal points x, x' of the peel, H_n(slab x ∪ slab x') -> H_n(slab y)
+    at their join y must have rank at most one.  Only joins of dim two are
+    reduced: y lies above a peel point, so its dim is one or two, and a map
+    into a space of dim one has rank at most one.  In degree zero that rank
+    is the dimension of the span of the two images at y; in higher degrees
+    it can exceed that span, so the peel may refuse conservatively.  With
+    all dims at most one the peel is empty.
 
-    With dims up to two the layer that survives to the widest window at the
-    highest level is peeled off first, provided the peel is consistent: for
-    any two minimal points x, x' of the peel, H_n(slab x ∪ slab x') ->
-    H_n(slab y) at their join y must have rank at most one.  Only joins of
-    dim two are reduced: y lies above a peel point, so its dim is one or
-    two, and a map into a space of dim one has rank at most one.  In degree
-    zero that rank is the dimension of the span of the two images at y; in
-    higher degrees it can exceed that span, so the peel may refuse
-    conservatively.  Otherwise, or with a dim above two, the module is
-    refused with a witness.
+    What remains, of dim at most one, is split into the zigzag components
+    of its support along edges of residual rank one, the edge's rank less
+    one when both ends lie in the peel, and refused when two adjacent
+    points of a component have an edge of residual rank zero.  Points of
+    distinct components need no rank check: a nonzero map x -> y factors
+    through every edge of a monotone lattice path from x to y, so each of
+    those edges is nonzero, hence of rank one, and x and y lie in one
+    component.
     """
     support = mod.support()
     if not support:
         return []
     max_dim = max(mod.dims.values())
-    if max_dim == 1:
-        comps = _zigzag_components(mod, support, mod.edge_rank)
-        for comp in comps:
-            for x in comp.support:
-                for y in mod.neighbors_up(x):
-                    if y in comp.support and mod.edge_rank(x, y) == 0:
-                        raise ThinRefusal(
-                            f"support is connected through {x} -> {y} but "
-                            "the edge carries rank 0; not a sum of thin "
-                            "summands", witness=(x, y))
-        return comps
     if max_dim > 2:
         worst = max(support, key=lambda p: mod.dims[p])
         raise ThinRefusal(
             f"no thin decomposition: dimension {mod.dims[worst]} at grid "
             f"point {worst}", witness=worst)
 
-    top = _top_point(mod)
-    if mod.dim(top) != 1:
-        raise ThinRefusal(
-            "no thin decomposition along the top layer: dimension at the "
-            f"widest window, highest level is {mod.dim(top)}, not 1",
-            witness=top)
-    peel = {x for x in support if mod.rank(x, top) >= 1}
-    minimal = [x for x in sorted(peel)
-               if not any(y in peel for y in mod.neighbors_down(x))]
-    for idx, x in enumerate(minimal):
-        for xp in minimal[idx + 1:]:
-            y = _join(x, xp)
-            if mod.dim(y) == 2 and _joint_rank(mod, x, xp, y) > 1:
-                raise ThinRefusal(
-                    "no thin decomposition: the classes at grid points "
-                    f"{x} and {xp} stay independent at {y}",
-                    witness=(x, xp, y))
-    residual_dims = {x: mod.dims.get(x, 0) - (1 if x in peel else 0)
-                     for x in support}
+    peel = set()
+    if max_dim == 2:
+        top = _top_point(mod)
+        if mod.dim(top) != 1:
+            raise ThinRefusal(
+                "no thin decomposition along the top layer: dimension at "
+                f"the widest window, highest level is {mod.dim(top)}, not 1",
+                witness=top)
+        peel = {x for x in support if mod.rank(x, top) >= 1}
+        minimal = [x for x in sorted(peel)
+                   if not any(y in peel for y in mod.neighbors_down(x))]
+        for idx, x in enumerate(minimal):
+            for xp in minimal[idx + 1:]:
+                y = _join(x, xp)
+                if mod.dim(y) == 2 and _joint_rank(mod, x, xp, y) > 1:
+                    raise ThinRefusal(
+                        "no thin decomposition: the classes at grid points "
+                        f"{x} and {xp} stay independent at {y}",
+                        witness=(x, xp, y))
+    residual_dims = {x: mod.dims[x] - (x in peel) for x in support}
     residual = {x for x, d in residual_dims.items() if d >= 1}
     if any(d > 1 for d in residual_dims.values()):
         worst = max(residual, key=lambda p: residual_dims[p])
@@ -480,12 +448,19 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
             f"no thin decomposition after the peel: dimension "
             f"{residual_dims[worst]} left at {worst}", witness=worst)
 
-    def res_edge(x, y):
-        r = mod.edge_rank(x, y)
-        return r - (1 if x in peel and y in peel else 0)
+    def edge(x, y):
+        return mod.rank(x, y) - (x in peel and y in peel)
 
-    rest = _zigzag_components(mod, residual, res_edge)
-    return [IntervalSummand(frozenset(peel))] + rest
+    comps = _zigzag_components(mod, residual, edge)
+    for comp in comps:
+        for x in comp.support:
+            for y in mod.neighbors_up(x):
+                if y in comp.support and edge(x, y) == 0:
+                    raise ThinRefusal(
+                        f"support is connected through {x} -> {y} but "
+                        "the edge carries rank 0; not a sum of thin "
+                        "summands", witness=(x, y))
+    return ([IntervalSummand(frozenset(peel))] if peel else []) + comps
 
 
 def check_indecomposable_sufficient(mod: Module3) -> bool:

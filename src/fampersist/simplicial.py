@@ -95,9 +95,6 @@ class SimplicialComplex:
         edges = [(i, (i + 1) % n_vertices) for i in range(n_vertices)]
         return cls.from_maximal(n_vertices, edges)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices)
-
 
 def _staircase_prisms(sigma: Simplex, i: int):
     """Top simplices of the staircase triangulation of sigma x [t_i, t_i+1].
@@ -127,12 +124,6 @@ class PrismComplex:
     @property
     def n_times(self) -> int:
         return len(self.time_breakpoints)
-
-    def fiber_simplices(self, i: int) -> frozenset:
-        """The subcomplex {t_i} x X (simplicially isomorphic to the base)."""
-        if not 0 <= i < self.n_times:
-            raise ComplexError(f"time index {i} out of range")
-        return frozenset(s for s in self.simplices if all(v[0] == i for v in s))
 
     def level_values(self) -> list:
         """Grid of levels where sublevel slabs can change, refined with

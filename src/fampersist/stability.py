@@ -100,8 +100,6 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
         raise FamilyError("modules must have the same degree")
     if mf.fieldspec != mg.fieldspec:
         raise FamilyError("modules must share the coefficient field")
-    if mf.prism is None or mg.prism is None:
-        raise FamilyError("both modules need their source complexes")
     if mf.time_values != mg.time_values:
         raise FamilyError("families must share the breakpoints")
     for m in (mf, mg):

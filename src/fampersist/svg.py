@@ -65,7 +65,7 @@ def render_cerf_svg(diagram: CerfDiagram,
                           for t, v in curve.points)
         parts.append(f'<polyline points="{coords}" fill="none" '
                      f'stroke="{color}" stroke-width="2"/>')
-        for seg in curve.segments():
+        for seg in curve.segments:
             tx = (px(seg.start[0]) + px(seg.end[0])) / 2
             ty = (py(seg.start[1]) + py(seg.end[1])) / 2 - 6
             parts.append(f'<text x="{_fmt(tx)}" y="{_fmt(ty)}" '

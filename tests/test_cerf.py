@@ -147,7 +147,7 @@ class TestTraceCerf:
 
     def test_hat_signs(self):
         diagram = trace_cerf(hat_family(2).to_prism())
-        segs = list(diagram.all_segments())
+        segs = [s for c in diagram.curves for s in c.segments]
         assert [s.sign for s in segs] == ["positive", "negative"]
         assert all(s.index == 0 for s in segs)
 
@@ -155,7 +155,8 @@ class TestTraceCerf:
         diagram = trace_cerf(cylinder_family(4).to_prism())
         levels = sorted({pt[1] for c in diagram.curves for pt in c.points})
         assert levels == [F(-1), F(1)]
-        assert all(s.sign == "flat" for s in diagram.all_segments())
+        assert all(s.sign == "flat"
+                   for c in diagram.curves for s in c.segments)
         assert len(diagram.curves) == 2
         assert not diagram.events
 
@@ -164,14 +165,14 @@ class TestTraceCerf:
         assert len(diagram.curves) == 4
         assert diagram.events == [(F(1, 4), F(2)), (F(3, 4), F(2))]
         flat = [c for c in diagram.curves
-                if all(s.sign == "flat" for s in c.segments())]
+                if all(s.sign == "flat" for s in c.segments)]
         lens = [c for c in diagram.curves if c not in flat]
         assert {c.points[0][1] for c in flat} == {F(0), F(4)}
         assert len(lens) == 2
         for c in lens:
             assert c.points[0] == (F(1, 4), F(2))
             assert c.points[-1] == (F(3, 4), F(2))
-        assert {c.segments()[0].index for c in lens} == {0, 1}
+        assert {c.segments[0].index for c in lens} == {0, 1}
 
     def test_birth_death_parity_closed_ends(self):
         diagram = trace_cerf(wrinkled_cylinder_family().to_prism())
@@ -185,13 +186,13 @@ class TestTraceCerf:
         fam = wrinkled_cylinder_family()
         fwd = trace_cerf(fam.to_prism())
         bwd = trace_cerf(reversed_family(fam).to_prism())
-        fwd_signs = sorted(s.sign for s in fwd.all_segments())
-        bwd_signs = sorted(s.sign for s in bwd.all_segments())
+        fwd_signs = sorted(s.sign for c in fwd.curves for s in c.segments)
+        bwd_signs = sorted(s.sign for c in bwd.curves for s in c.segments)
         assert fwd_signs == bwd_signs  # lens is symmetric: swap preserved
         hat_fwd = trace_cerf(hat_family(2).to_prism())
         hat_bwd = trace_cerf(reversed_family(hat_family(2)).to_prism())
-        assert [s.sign for s in hat_fwd.all_segments()] == \
-            [s.sign for s in hat_bwd.all_segments()]
+        assert [s.sign for c in hat_fwd.curves for s in c.segments] == \
+            [s.sign for c in hat_bwd.curves for s in c.segments]
 
     def test_nongeneric_family_rejected(self):
         base = SimplicialComplex.path(3)
@@ -312,6 +313,17 @@ class TestClassifyCobordism:
     def test_bad_interval(self):
         with pytest.raises(CerfError):
             classify_cobordism(self.hat, F(1), F(0), F(1, 2))
+
+    def test_segments_built_with_the_curve(self, monkeypatch):
+        data = self.wrinkled.to_json_dict()
+
+        def forbidden(*args):
+            raise AssertionError("classify_sign called after tracing")
+
+        monkeypatch.setattr(cerf, "classify_sign", forbidden)
+        assert classify_cobordism(self.wrinkled, F(1, 4), F(1, 2), F(3, 2)) \
+            == CobordismClass.RIGHT_PRODUCT
+        assert self.wrinkled.to_json_dict() == data
 
 
 # ----- differential test against the run-list tracer -------------------------

@@ -41,3 +41,15 @@ def test_job_zero_matches_golden_digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_next_jobs_match_golden_digests(name, index, tmp_path):
     check_job(name, index, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_tampered_job_zero_fails_its_check(name, tmp_path):
+    """The benchmark's checks see a tampered output, which pins what each
+    workload's tamper hook changes (surface-stability's writes
+    ``Module3.dims``, which ``Module3.dim`` must read)."""
+    wl = WORKLOADS[name]()
+    job = wl.generate(0, 0, str(tmp_path))
+    out = wl.run(job)
+    wl.tamper(job, out)
+    assert wl.check(job, out) != []

@@ -3,10 +3,11 @@
 ``reference_module`` is the earlier build_module: one slab per grid point,
 its Betti number from ``betti`` and every adjacent edge from
 ``induced_rank`` on the two slabs.  The engine must give exactly the same
-dims and edge ranks, and every rank between two levels of one window,
-answered from the window's barcode, must equal ``induced_rank`` on the two
-slabs; so must every rank between two windows, answered from the image
-barcode of the window pair.  No module computation may build a slab.
+dims, and the same edge ranks in its JSON and from ``Module3.rank``; every
+rank between two levels of one window, answered from the window's barcode,
+must equal ``induced_rank`` on the two slabs; so must every rank between
+two windows, answered from the image barcode of the window pair.  No
+module computation may build a slab.
 """
 
 import random
@@ -95,7 +96,12 @@ def test_engine_matches_per_point_reference(fam):
                 dims, edges, slabs = reference_module(
                     prism, degree, fieldspec, mod.level_values)
                 assert mod.dims == dims, (levels, fieldspec, degree)
-                assert mod.edge_ranks == edges, (levels, fieldspec, degree)
+                assert {(tuple(x), tuple(y)): r for x, y, r
+                        in mod.to_json_dict()["edge_ranks"]} == edges, \
+                    (levels, fieldspec, degree)
+                for x in mod.points():
+                    for y in mod.neighbors_up(x):
+                        assert mod.rank(x, y) == edges.get((x, y), 0), (x, y)
                 ranks = {}
                 for x in mod.points():
                     for k in range(x[2] + 2, len(mod.level_values)):
@@ -134,8 +140,7 @@ def test_cross_window_ranks_match_slabs(fam):
             mod, shared = (build_module(prism, degree, fieldspec),
                            report.modules[degree])
             assert list(shared.dims.items()) == list(mod.dims.items())
-            assert (list(shared.edge_ranks.items())
-                    == list(mod.edge_ranks.items()))
+            assert shared.to_json_dict() == mod.to_json_dict()
             for m in (mod, shared):
                 check_cross_window_ranks(prism, m, slabs, ranks)
 
@@ -189,7 +194,7 @@ def test_components_of_thin_modules_share_no_rank(fam):
             support = mod.support()
             if not support or max(mod.dims.values()) > 1:
                 continue
-            for comp in _zigzag_components(mod, support, mod.edge_rank):
+            for comp in _zigzag_components(mod, support, mod.rank):
                 for x in comp.support:
                     for y in support - comp.support:
                         if _leq(x, y):

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction as F
 
 import pytest
@@ -6,8 +5,8 @@ import pytest
 from fampersist.family import (cylinder_family, hat_family,
                                wrinkled_cylinder_family, zigzag_family)
 from fampersist import homology, module3
-from fampersist.homology import FieldSpec, induced_rank
-from fampersist.module3 import (Module3, ModuleError, ThinRefusal,
+from fampersist.homology import induced_rank
+from fampersist.module3 import (ModuleError, ThinRefusal,
                                 betti_report, build_module,
                                 check_indecomposable_sufficient,
                                 finite_subdiagram, thin_decompose)
@@ -52,8 +51,9 @@ class TestBuildModule:
 
     def test_edge_ranks_bounded_by_dims(self):
         mod = build_module(wrinkled_cylinder_family().to_prism(), 0)
-        for (x, y), r in mod.edge_ranks.items():
-            assert r <= min(mod.dim(x), mod.dim(y))
+        for x in mod.points():
+            for y in mod.neighbors_up(x):
+                assert mod.rank(x, y) <= min(mod.dim(x), mod.dim(y))
 
     def test_composite_rank_bounded_by_edges(self):
         mod = build_module(hat_family(4).to_prism(), 0)
@@ -65,7 +65,7 @@ class TestBuildModule:
         while cur != top:
             nxt = next(y for y in mod.neighbors_up(cur)
                        if y[0] <= top[0] and y[1] <= top[1] and y[2] <= top[2])
-            assert path_rank <= mod.edge_rank(cur, nxt)
+            assert path_rank <= mod.rank(cur, nxt)
             cur = nxt
         assert path_rank == 1
 
@@ -100,37 +100,6 @@ class TestBuildModule:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        mod = build_module(hat_family(2).to_prism(), 0, FieldSpec(3))
-        data = json.loads(json.dumps(mod.to_json_dict()))
-        back = Module3.from_json_dict(data)
-        assert back.dims == mod.dims
-        assert back.edge_ranks == mod.edge_ranks
-        assert back.time_values == mod.time_values
-        assert back.fieldspec == mod.fieldspec
-
-    @pytest.mark.parametrize("fam, degree", [(zigzag_family(2), 0),
-                                             (cylinder_family(4), 1)])
-    def test_loaded_module_answers_short_ranks(self, fam, degree):
-        mod = build_module(fam.to_prism(), degree)
-        back = Module3.from_json_dict(
-            json.loads(json.dumps(mod.to_json_dict())))
-        assert back.prism is None
-        short = 0
-        for x in mod.points():
-            for y in mod.points():
-                if x == y or not (y[0] <= x[0] and x[1] <= y[1]
-                                  and x[2] <= y[2]):
-                    continue
-                adjacent = y in mod.neighbors_up(x)
-                if adjacent or not mod.dim(x) or not mod.dim(y):
-                    assert back.rank(x, y) == mod.rank(x, y), (x, y)
-                    short += 1
-                else:
-                    with pytest.raises(ModuleError):
-                        back.rank(x, y)
-        assert short
-
     def test_csv_contains_full_window_row(self):
         mod = build_module(hat_family(2).to_prism(), 0)
         assert "0,1,1,1" in mod.to_csv().splitlines()
@@ -197,6 +166,28 @@ class TestBettiReport:
                                         mod.level_values[k]).simplices
                           for i, j, k in (x, y))
         assert r == induced_rank(slab_x, slab_y, 0)
+
+    def test_adjacent_window_rank_reads_the_build_barcode(self, monkeypatch):
+        """A map between two adjacent windows, levels k -> k + 2, is a bar
+        count in the pair barcode that the build reduced for the edge."""
+        mod = build_module(wrinkled_cylinder_family().to_prism(), 0)
+        x, y = next((x, y) for x in sorted(mod.support())
+                    for y in ((x[0] - 1, x[1], x[2] + 2),
+                              (x[0], x[1] + 1, x[2] + 2))
+                    if y in mod.dims)
+        want = induced_rank(*(slab_sublevel(mod.prism, i, j,
+                                            mod.level_values[k]).simplices
+                              for i, j, k in (x, y)), 0)
+        calls = []
+        reduce = homology.staged_reduce
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return reduce(*args, **kwargs)
+
+        monkeypatch.setattr(homology, "staged_reduce", counting)
+        assert mod.rank(x, y) == want
+        assert calls == []
 
 
 class TestThinDecompose:

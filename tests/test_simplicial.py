@@ -24,12 +24,6 @@ class TestSimplicialComplex:
         assert len(cx.simplices) == 7
         assert is_downward_closed(cx.simplices)
 
-    def test_circle_euler(self):
-        assert SimplicialComplex.circle(5).euler_characteristic() == 0
-
-    def test_path_euler(self):
-        assert SimplicialComplex.path(4).euler_characteristic() == 1
-
     def test_unsorted_simplex_rejected(self):
         with pytest.raises(ComplexError):
             SimplicialComplex(2, frozenset({(1, 0)}))
@@ -63,7 +57,8 @@ class TestBuildPrism:
         rows = [tuple(F(k) for k in range(4))] * 3
         p = build_prism(base, [F(0), F(1, 2), F(1)], rows)
         for i in range(3):
-            fiber = {tuple(v[1] for v in s) for s in p.fiber_simplices(i)}
+            fiber = {tuple(v[1] for v in s) for s in p.simplices
+                     if all(v[0] == i for v in s)}
             assert fiber == set(base.simplices)
 
     def test_vertex_time_bookkeeping(self):
@@ -130,7 +125,8 @@ class TestSlabSublevel:
         p = hat_prism(4)
         for i in range(p.n_times):
             c = p.vertex_level[(i, 0)]
-            assert slab_sublevel(p, i, i, c).simplices == p.fiber_simplices(i)
+            fiber = {s for s in p.simplices if all(v[0] == i for v in s)}
+            assert slab_sublevel(p, i, i, c).simplices == fiber
 
     def test_gluing_along_a_middle_fiber(self):
         base = SimplicialComplex.path(3)
