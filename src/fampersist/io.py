@@ -81,8 +81,8 @@ def write_text(text: str, path: Optional[str] = None) -> str:
     return text
 
 
-def _looks_like_header(row: List[str]) -> bool:
-    for cell in row:
+def _looks_like_header(row: List[str], columns: int) -> bool:
+    for cell in row[:columns]:
         try:
             parse_rational(cell.strip())
         except (ValueError, ZeroDivisionError):
@@ -106,7 +106,7 @@ def load_samples(path: str, columns: int) -> List[Tuple[Fraction, ...]]:
                     continue
                 if not seen_row:
                     seen_row = True
-                    if _looks_like_header(row):
+                    if _looks_like_header(row, columns):
                         continue
                 if len(row) < columns:
                     raise IOFormatError(

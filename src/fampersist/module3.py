@@ -11,10 +11,11 @@ filtration, so one persistence reduction per window gives every dim of the
 window and every rank between two of its levels as a bar count.  One
 reduction per pair of nested windows, an image barcode, does the same for
 every map from a slab of the inner window into one of the outer.  A module
-is a view of these window-pair barcodes: the dims are read from the window
-barcodes as rank curves, one pass per barcode and degree, and every
-structure map, adjacent edges included, is a bar count in the barcode of
-its pair, kept in one cache that the modules of all degrees share.
+is a view of these window-pair barcodes, kept in one cache that the modules
+of all degrees share: the build reduces each window once and reads its dims
+as rank curves, one pass per barcode and degree, and every structure map,
+adjacent edges included, is a bar count in the barcode of its pair, which
+is reduced on first read.
 The prism's cells are listed once per build in filtration order, each with
 the positions of its faces in that list.  Every reduction reads its window's
 cells by those positions, and every image reduction clears the columns that
@@ -85,20 +86,22 @@ class Module3:
     dims: Dict[Point, int]
     prism: PrismComplex
     # Never serialized, shared by one report's modules: the two lists of
-    # _lower_star_cells, and the barcodes of each window pair (w, w), each
-    # adjacent pair (w, w') that the build reduced and each pair used since.
+    # _lower_star_cells, and the barcodes that _barcode has reduced, of
+    # each window (w, w) by the build and of each pair (w, w') read since.
     cells: list
     index: list
     bars: Dict[tuple, Barcode]
 
     # ----- queries -------------------------------------------------------
 
+    def windows(self):
+        nt = len(self.time_values)
+        return [(i, j) for i in range(nt) for j in range(i, nt)]
+
     def points(self):
-        nt, nl = len(self.time_values), len(self.level_values)
-        for i in range(nt):
-            for j in range(i, nt):
-                for k in range(nl):
-                    yield (i, j, k)
+        for w in self.windows():
+            for k in range(len(self.level_values)):
+                yield w + (k,)
 
     def dim(self, point: Point) -> int:
         return self.dims.get(point, 0)
@@ -132,10 +135,9 @@ class Module3:
 
         Identities and maps with a zero end are read from the dims.  Every
         other map, an adjacent edge or a longer one, is a bar count in the
-        barcode of its window pair: the build keeps the window barcodes and
-        those of the adjacent pairs it reduced, and any other pair is
-        reduced on first use and kept for the next map between the same two
-        windows.  Composing edge ranks would only bound these from above.
+        barcode of its window pair, reduced on first read and kept for the
+        next map between the same two windows.  Composing edge ranks would
+        only bound these from above.
         """
         self._check_point(x)
         self._check_point(y)
@@ -145,11 +147,31 @@ class Module3:
             return self.dim(x)
         if not self.dim(x) or not self.dim(y):
             return 0
-        pair = (x[:2], y[:2])
-        if pair not in self.bars:
-            self.bars[pair] = _pair_barcode(self.cells, self.index, *pair,
-                                            self.bars, self.fieldspec)
-        return self.bars[pair].rank(self.degree, x[2], y[2])
+        return self._barcode(x[:2], y[:2]).rank(self.degree, x[2], y[2])
+
+    def _slab(self, pt: Point, among=None) -> List[int]:
+        """Positions of the cells in the slab at pt, in filtration order,
+        taken from ``among`` when it is given."""
+        a, b, k = pt
+        cells, index = self.cells, self.index
+        return [g for g in (range(len(cells)) if among is None else among)
+                if a <= cells[g][0] and cells[g][1] <= b and index[g][1] <= k]
+
+    def _barcode(self, w, wp) -> Barcode:
+        """Barcode whose rank(n, s, t) is the rank of H_n(slab(w, s)) ->
+        H_n(slab(wp, t)) for a window w inside wp, reduced on first use and
+        kept in ``bars``: wp's own for w == wp, else the image barcode of w,
+        which clears the columns that ended zero in wp's own reduction."""
+        if (w, wp) not in self.bars:
+            top = len(self.level_values) - 1
+            window = self._slab((*wp, top))
+            sub = None
+            if w != wp:
+                sub = (self._slab((*w, top), window), self._barcode(w, w),
+                       self._barcode(wp, wp).zero)
+            self.bars[w, wp] = homology.staged_reduce(
+                window, self.index, self.fieldspec, sub=sub)
+        return self.bars[w, wp]
 
     def support(self):
         return {p for p, d in self.dims.items() if d > 0}
@@ -159,21 +181,25 @@ class Module3:
     def to_json_dict(self):
         """The dims over the grid and the positive adjacent-edge ranks,
         sorted.  Edges are rank curves: shift 1 over each window's barcode
-        for its level edges, shift 0 over each window-widening pair (w, w')
-        in the cache.  The build reduces every such pair except where, in
-        every degree it builds and at every level, one end has dim 0, so a
-        pair that it skipped and a later query cached adds only ranks 0."""
+        for its level edges, shift 0 over the barcode of each widening
+        (w, w') for its window edges.  A widening's barcode is read, and so
+        reduced if no query has read it yet, only when some level has
+        support at both ends in this degree; elsewhere every rank is 0."""
         nt, nl = len(self.time_values), len(self.level_values)
         dims = [[[self.dim((i, j, k)) for k in range(nl)]
                  if i <= j else None
                  for j in range(nt)] for i in range(nt)]
         edges = []
-        for (w, wp), bc in self.bars.items():
-            up = int(w == wp)
-            if up or wp in ((w[0] - 1, w[1]), (w[0], w[1] + 1)):
-                curve = bc.rank_curve(self.degree, nl - up, up)
-                edges += ([[*w, k], [*wp, k + up], r]
-                          for k, r in enumerate(curve) if r)
+        for w in self.windows():
+            # A widening out of the grid has no support.
+            for wp in (w, (w[0] - 1, w[1]), (w[0], w[1] + 1)):
+                up = int(w == wp)
+                if up or any(self.dim(w + (k,)) and self.dim(wp + (k,))
+                             for k in range(nl)):
+                    curve = self._barcode(w, wp).rank_curve(
+                        self.degree, nl - up, up)
+                    edges += ([[*w, k], [*wp, k + up], r]
+                              for k, r in enumerate(curve) if r)
         edges.sort()
         return {
             "degree": self.degree,
@@ -216,62 +242,33 @@ def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
     return [(s[0][0], s[-1][0]) for s in order[:n]], index[:n]
 
 
-def _pair_barcode(cells, index, w, wp, bars, fieldspec: FieldSpec) -> Barcode:
-    """Barcode whose rank(n, s, t) is the rank of H_n(slab(w, s)) ->
-    H_n(slab(wp, t)) for a window w inside wp: wp's own for w == wp, else
-    the image barcode of w, which needs w's own barcode bars[w, w] and
-    clears the columns that ended zero in bars[wp, wp].
-
-    A window's cells, closed under faces, are reduced by their positions
-    in the shared face index.
-    """
-    (a, b), (ap, bp) = w, wp
-    window = [g for g, (lo, hi) in enumerate(cells)
-              if ap <= lo and hi <= bp]
-    if w == wp:
-        return homology.staged_reduce(window, index, fieldspec)
-    members = [g for g in window if a <= cells[g][0] and cells[g][1] <= b]
-    return homology.staged_reduce(
-        window, index, fieldspec,
-        sub=(members, bars[w, w], bars[wp, wp].zero))
-
-
 def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
                    level_values: Optional[List[Fraction]] = None):
-    """One module per degree, all reading one cache of window barcodes and
-    of the window-widening pairs that join support points."""
+    """One module per degree, all reading one cache of barcodes, with the
+    dims read from one reduction per window."""
     times = list(p.time_breakpoints)
     levels = list(level_values) if level_values is not None else p.level_values()
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ModuleError("level values must be strictly increasing")
-    nt, nl = len(times), len(levels)
     cells, index = _lower_star_cells(p, levels)
-    windows = [(i, j) for i in range(nt) for j in range(i, nt)]
-    bars = {(w, w): _pair_barcode(cells, index, w, w, None, fieldspec)
-            for w in windows}
+    bars = {}
     mods = [Module3(degree=d, fieldspec=fieldspec, time_values=times,
                     level_values=levels, dims={}, prism=p,
                     cells=cells, index=index, bars=bars) for d in degrees]
-    for w in windows:
+    for w in mods[0].windows():
+        bc = mods[0]._barcode(w, w)
         for mod in mods:
-            for k, d in enumerate(bars[w, w].rank_curve(mod.degree, nl, 0)):
+            for k, d in enumerate(bc.rank_curve(mod.degree, len(levels), 0)):
                 if d:
                     mod.dims[w + (k,)] = d
-    for w in windows:
-        # A widening pair is reduced only when some edge across it joins
-        # support points.
-        for wp in ((w[0] - 1, w[1]), (w[0], w[1] + 1)):
-            if any(w + (k,) in mod.dims and wp + (k,) in mod.dims
-                   for mod in mods for k in range(nl)):
-                bars[w, wp] = _pair_barcode(cells, index, w, wp, bars,
-                                            fieldspec)
     return mods
 
 
 def build_module(p: PrismComplex, degree: int,
                  fieldspec: FieldSpec = FieldSpec(),
                  level_values: Optional[List[Fraction]] = None) -> Module3:
-    """Compute dims over the full grid and the barcodes of its maps.
+    """Compute dims over the full grid from one reduction per window; the
+    barcode of a pair of windows is reduced when a map across it is read.
 
     The level grid defaults to the distinct vertex values, midpoints between
     consecutive ones, and one value above the maximum, which captures every
@@ -373,18 +370,12 @@ def _joint_rank(mod: Module3, x: Point, xp: Point, y: Point) -> int:
     reduction of the union in that prefix clears the columns that ended
     zero in the window's own reduction.
     """
-    cells, index = mod.cells, mod.index
-
-    def in_slab(g, pt):
-        return (pt[0] <= cells[g][0] and cells[g][1] <= pt[1]
-                and index[g][1] <= pt[2])
-
-    whole = [g for g in range(len(cells)) if in_slab(g, y)]
-    members = [g for g in whole if in_slab(g, x) or in_slab(g, xp)]
-    inner = homology.staged_reduce(members, index, mod.fieldspec)
+    whole = mod._slab(y)
+    members = sorted({*mod._slab(x, whole), *mod._slab(xp, whole)})
+    inner = homology.staged_reduce(members, mod.index, mod.fieldspec)
     image = homology.staged_reduce(
-        whole, index, mod.fieldspec,
-        sub=(members, inner, mod.bars[y[:2], y[:2]].zero))
+        whole, mod.index, mod.fieldspec,
+        sub=(members, inner, mod._barcode(y[:2], y[:2]).zero))
     return image.rank(mod.degree, y[2], y[2])
 
 

@@ -116,9 +116,7 @@ class PrismComplex:
 
     base: SimplicialComplex
     time_breakpoints: tuple  # strictly increasing Fractions, 0 .. 1
-    vertices: tuple  # sorted (time index, base vertex) pairs
     simplices: frozenset
-    vertex_time: Mapping[PrismVertex, Fraction]
     vertex_level: Mapping[PrismVertex, Fraction]
 
     @property
@@ -175,12 +173,8 @@ def build_prism(base: SimplicialComplex, time_breakpoints: Sequence,
             raise ComplexError("vertex value row length != number of base vertices")
         rows.append([Fraction(x) for x in row])
 
-    vertex_time = {}
-    vertex_level = {}
-    for i, t in enumerate(bps):
-        for v in range(base.n_vertices):
-            vertex_time[(i, v)] = t
-            vertex_level[(i, v)] = rows[i][v]
+    vertex_level = {(i, v): x for i, row in enumerate(rows)
+                    for v, x in enumerate(row)}
 
     tops = []
     for i, _ in enumerate(bps[:-1]):
@@ -191,9 +185,7 @@ def build_prism(base: SimplicialComplex, time_breakpoints: Sequence,
     return PrismComplex(
         base=base,
         time_breakpoints=bps,
-        vertices=tuple(sorted(vertex_time)),
         simplices=simplices,
-        vertex_time=vertex_time,
         vertex_level=vertex_level,
     )
 

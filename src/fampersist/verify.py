@@ -97,11 +97,6 @@ def check_zigzag_subdiagram(fieldspec: FieldSpec) -> CheckResult:
         terminal = len(pts)
         if sub.dims[terminal] != 1:
             bad.append(f"n={n}: terminal dim {sub.dims[terminal]}")
-        minimal = [x for x in mod.support()
-                   if all(mod.dim(y) == 0 for y in mod.neighbors_down(x))]
-        for x in minimal:
-            if mod.rank(x, (0, 2 * n, len(mod.level_values) - 1)) != 1:
-                bad.append(f"n={n}: minimal point {x} dies before the top")
         if not check_indecomposable_sufficient(mod):
             bad.append(f"n={n}: indecomposability certificate not granted")
     return CheckResult("zigzag-subdiagram", not bad, "; ".join(bad[:3]))

@@ -243,6 +243,16 @@ class TestDensityCommands:
         assert results[0][0] == 0
         assert results[1] == results[0]
 
+    def test_kde_ignores_unused_text_column(self, capsys, tmp_path):
+        plain, labelled = tmp_path / "plain.csv", tmp_path / "labelled.csv"
+        plain.write_text("0.5\n1.5\n2.5\n")
+        labelled.write_text("0.5,a\n1.5,b\n2.5,c\n")
+        results = [run(capsys, "kde", "--data", str(data), "--bandwidth",
+                       "1/4:2", "--tres", "4", "--xres", "8")
+                   for data in (plain, labelled)]
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
     def test_kde_bad_bandwidth(self, capsys, tmp_path):
         data = tmp_path / "samples.csv"
         data.write_text("0\n")

@@ -26,6 +26,19 @@ def hat_expected(a, b, c):
     return 0
 
 
+def count_reductions(monkeypatch):
+    """A list that grows by one on each ``staged_reduce`` call."""
+    calls = []
+    reduce = homology.staged_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "staged_reduce", counting)
+    return calls
+
+
 def grid_point(mod, a, b, c):
     return (mod.time_values.index(a), mod.time_values.index(b),
             mod.level_values.index(c))
@@ -127,20 +140,14 @@ class TestBettiReport:
         assert chi == 0
 
     def test_one_pass_for_every_degree(self, monkeypatch):
-        calls = []
-        reduce = homology.staged_reduce
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return reduce(*args, **kwargs)
-
-        monkeypatch.setattr(homology, "staged_reduce", counting)
+        """The build reduces each of the 15 windows once and no pair."""
+        calls = count_reductions(monkeypatch)
         prism = wrinkled_cylinder_family().to_prism()
         build_module(prism, 0)
-        assert len(calls) == 35
+        assert len(calls) == 15
         calls.clear()
         report = betti_report(prism, 2)
-        assert len(calls) == 35
+        assert len(calls) == 15
         assert report.modules[1].bars is report.modules[0].bars
 
     def test_faces_indexed_once_per_report(self, monkeypatch):
@@ -167,27 +174,37 @@ class TestBettiReport:
                           for i, j, k in (x, y))
         assert r == induced_rank(slab_x, slab_y, 0)
 
-    def test_adjacent_window_rank_reads_the_build_barcode(self, monkeypatch):
-        """A map between two adjacent windows, levels k -> k + 2, is a bar
-        count in the pair barcode that the build reduced for the edge."""
+    def test_window_pair_reduced_on_first_map(self, monkeypatch):
+        """The first map between two adjacent windows reduces their pair
+        once; a second map between them, to another level, reduces nothing."""
         mod = build_module(wrinkled_cylinder_family().to_prism(), 0)
         x, y = next((x, y) for x in sorted(mod.support())
                     for y in ((x[0] - 1, x[1], x[2] + 2),
                               (x[0], x[1] + 1, x[2] + 2))
-                    if y in mod.dims)
-        want = induced_rank(*(slab_sublevel(mod.prism, i, j,
-                                            mod.level_values[k]).simplices
-                              for i, j, k in (x, y)), 0)
-        calls = []
-        reduce = homology.staged_reduce
+                    if y in mod.dims and y[:2] + (x[2] + 1,) in mod.dims)
+        maps = [(x, y), (x, y[:2] + (x[2] + 1,))]
+        wants = [induced_rank(*(slab_sublevel(mod.prism, i, j,
+                                              mod.level_values[k]).simplices
+                                for i, j, k in pair), 0) for pair in maps]
+        calls = count_reductions(monkeypatch)
+        for pair, want in zip(maps, wants):
+            assert mod.rank(*pair) == want
+            assert len(calls) == 1
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return reduce(*args, **kwargs)
-
-        monkeypatch.setattr(homology, "staged_reduce", counting)
-        assert mod.rank(x, y) == want
+    def test_csv_reduces_nothing(self, monkeypatch):
+        mod = build_module(wrinkled_cylinder_family().to_prism(), 0)
+        calls = count_reductions(monkeypatch)
+        mod.to_csv()
         assert calls == []
+
+    @pytest.mark.parametrize("degree", (0, 1))
+    def test_json_does_not_depend_on_earlier_queries(self, degree):
+        prism = wrinkled_cylinder_family().to_prism()
+        fresh = build_module(prism, degree)
+        queried = build_module(prism, degree)
+        finite_subdiagram(queried, sorted(queried.support()))
+        assert len(queried.bars) > len(fresh.bars)
+        assert queried.to_json_dict() == fresh.to_json_dict()
 
 
 class TestThinDecompose:

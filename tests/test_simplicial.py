@@ -36,13 +36,13 @@ class TestSimplicialComplex:
 class TestBuildPrism:
     def test_hat_is_a_path(self):
         p = hat_prism(2)
-        assert len(p.vertices) == 3
+        assert len(p.vertex_level) == 3
         edges = [s for s in p.simplices if len(s) == 2]
         assert len(edges) == 2
 
     def test_empty_base(self):
         p = build_prism(SimplicialComplex.empty(), [F(0), F(1)], [(), ()])
-        assert not p.vertices
+        assert not p.vertex_level
         assert p.n_times == 2
 
     def test_cylinder_euler_zero(self):
@@ -60,11 +60,6 @@ class TestBuildPrism:
             fiber = {tuple(v[1] for v in s) for s in p.simplices
                      if all(v[0] == i for v in s)}
             assert fiber == set(base.simplices)
-
-    def test_vertex_time_bookkeeping(self):
-        p = hat_prism(4)
-        for (i, v), t in p.vertex_time.items():
-            assert t == p.time_breakpoints[i]
 
     def test_nonmonotone_breakpoints_rejected(self):
         with pytest.raises(ComplexError):
