@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
 from .family import PLFamily
@@ -66,12 +67,136 @@ def load_family(path: str) -> PLFamily:
 
 
 def dump_json(data, path: Optional[str] = None) -> str:
-    """Serialize deterministically: sorted keys, no trailing whitespace."""
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Serialize deterministically: sorted keys, no trailing whitespace.
+
+    The text is byte-identical to ``json.dumps(data, sort_keys=True,
+    indent=2) + "\\n"``; this is the one JSON writer of the package.  Dicts
+    with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and
+    ``None`` are written here.  A list of plain ``int`` is one join.  A
+    list of two or more rows whose first row is a non-empty container is
+    written through one ``%`` template compiled from that first row, when
+    every row has exactly its shape: the same container types and lengths,
+    the same dict keys, and the same leaf type (``int``, ``str`` or
+    ``bool``) at each leaf; otherwise the list is written item by item.
+    Any other value (a float, a dict with a non-``str`` key, a subclass) is
+    left to ``json.dumps`` and re-indented.
+    """
+    text = _encode(data, "\n") + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     return text
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+# The template arguments of a leaf, by its exact type.
+_LEAF_FILLS = {
+    int: lambda v: (v,),
+    str: lambda v: (encode_basestring_ascii(v),),
+    bool: lambda v: (_LITERALS[v],),
+}
+
+
+def _encode(v, nl: str) -> str:
+    """JSON text of v, whose lines after the first start with nl."""
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None or t is bool:
+        return _LITERALS[v]
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        if type(v[0]) is int and all(type(x) is int for x in v):
+            items = map(int.__repr__, v)
+        else:
+            items = _rows(v, inner) or [_encode(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict and all(type(k) is str for k in v):
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _encode(v[k], inner)
+             for k in sorted(v)]) + nl + "}")
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _rows(v, nl: str):
+    """v's items through one template compiled from v[0], or None when v
+    is not a list of two or more rows of one shape."""
+    if len(v) < 2 or type(v[0]) not in (list, tuple, dict) or not v[0]:
+        return None
+    shape = _shape(v[0], nl)
+    if shape is None:
+        return None
+    template, leaves = shape
+    args = [leaves(row) for row in v]
+    if None in args:
+        return None
+    return [template % a for a in args]
+
+
+def _shape(x, nl: str):
+    """Compile the shape of container x, written at line start nl, into
+    ``(template, leaves)``: ``leaves(y)`` is the tuple that fills the
+    template with y's leaves when y has exactly x's shape, else None.
+    None when x holds an empty container or a leaf that is not a plain
+    int, str or bool."""
+    t = type(x)
+    inner = nl + "  "
+    if t is dict:
+        if not all(type(k) is str for k in x):
+            return None
+        keys = sorted(x)
+        heads = [encode_basestring_ascii(k).replace("%", "%%") + ": "
+                 for k in keys]
+        items = [x[k] for k in keys]
+        brackets = "{}"
+    else:
+        heads, items, brackets = [""] * len(x), x, "[]"
+    parts, fills = [], []
+    for head, item in zip(heads, items):
+        ti = type(item)
+        if ti in _LEAF_FILLS:
+            parts.append(head + ("%d" if ti is int else "%s"))
+            fills.append(_LEAF_FILLS[ti])
+        elif ti in (list, tuple, dict) and item:
+            shape = _shape(item, inner)
+            if shape is None:
+                return None
+            parts.append(head + shape[0])
+            fills.append(shape[1])
+        else:
+            return None
+    template = (brackets[0] + inner + ("," + inner).join(parts) + nl
+                + brackets[1])
+    types = tuple(map(type, items))
+    ints_only = all(f is _LEAF_FILLS[int] for f in fills)
+
+    def leaves(y):
+        if type(y) is not t:
+            return None
+        if t is dict:
+            if y.keys() != x.keys():
+                return None
+            y = tuple(map(y.__getitem__, keys))
+        if tuple(map(type, y)) != types:
+            return None
+        if ints_only:
+            return tuple(y)
+        out = []
+        for fill, item in zip(fills, y):
+            got = fill(item)
+            if got is None:
+                return None
+            out += got
+        return tuple(out)
+
+    return template, leaves
 
 
 def write_text(text: str, path: Optional[str] = None) -> str:

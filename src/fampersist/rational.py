@@ -8,6 +8,7 @@ comparisons.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 # Decimal digits kept when snapping a float sample (e.g. a sine or kernel
@@ -16,11 +17,22 @@ SAMPLE_PRECISION = 12
 
 _SCALE = 10**SAMPLE_PRECISION
 
+# Python's default limit on the digits of an int read from a string: a
+# plain digit string this long already fails to parse, and a larger power
+# of ten could not be written back by format_rational.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\Z", re.IGNORECASE)
+
 
 def parse_rational(text) -> Fraction:
-    """Parse a decimal or "p/q" string (ints and Fractions pass through)."""
+    """Parse a decimal or "p/q" string (ints and Fractions pass through).
+
+    A decimal exponent beyond MAX_EXPONENT in magnitude is refused before
+    ``Fraction`` builds its power of ten."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise TypeError("booleans are not accepted as rationals")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
@@ -28,6 +40,15 @@ def parse_rational(text) -> Fraction:
     s = str(text).strip()
     if not s:
         raise ValueError("empty rational string")
+    exponent = _EXPONENT.search(s)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0") or "0"
+        # The length test comes first: int() refuses a digit string longer
+        # than the limit.
+        if (len(digits) > len(str(MAX_EXPONENT))
+                or int(digits) > MAX_EXPONENT):
+            raise ValueError(
+                f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
     try:
         return Fraction(s)  # handles "3", "3/4", "0.25", "-1.5e-3"
     except (ValueError, ZeroDivisionError) as exc:

@@ -121,6 +121,22 @@ class TestModuleCommand:
         assert code == 2 and "vertex_values" in err
 
 
+    @pytest.mark.parametrize("values", [
+        [["0", "1"], ["1", True]],
+        [["0", "1"], [False, "1"]],
+    ], ids=["true", "false"])
+    def test_boolean_value_rejected(self, capsys, tmp_path, values):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({
+            "base": {"vertices": 2, "simplices": [[0, 1]]},
+            "time_breakpoints": ["0", "1"],
+            "vertex_values": values,
+        }))
+        code, out, err = run(capsys, "module", "--family", str(path))
+        assert code == 2 and out == ""
+        assert "bad family description" in err
+
+
 class TestBadRationals:
     @pytest.mark.parametrize("argv", [
         ("stability", "--example", "hat", "--example2", "hat",
@@ -140,6 +156,42 @@ class TestBadRationals:
         code, _, err = run(capsys, "kde", "--data", str(data),
                            "--bandwidth", "1/2:1", flag, value)
         assert code == 2 and "cannot parse rational" in err
+
+
+    @pytest.mark.parametrize("source, value", [
+        ("family", "1e999999999"),
+        ("family", "-2.5E-999999999"),
+        ("csv", "1e999999999"),
+        ("--bandwidth", "1/4:1e999999999"),
+        ("--box", "0:1e4301"),
+        ("--strip", "0,1,1e-999999999"),
+    ])
+    def test_huge_exponent_exit_2(self, tmp_path, source, value):
+        # Fraction would build 10**999999999; a subprocess with a timeout
+        # keeps a hang from stalling the suite.
+        if source == "family":
+            path = tmp_path / "family.json"
+            path.write_text(json.dumps({
+                "base": {"vertices": 1, "simplices": []},
+                "time_breakpoints": ["0", "1"],
+                "vertex_values": [["0"], [value]],
+            }))
+            argv = ("module", "--family", str(path))
+        elif source == "--strip":
+            argv = ("cerf", "--example", "hat", "--strip", value)
+        else:
+            data = tmp_path / "samples.csv"
+            data.write_text("0\n1\n" + (value if source == "csv" else ""))
+            argv = ("kde", "--data", str(data), "--bandwidth", "1/4:1",
+                    "--tres", "2", "--xres", "4")
+            if source != "csv":
+                argv += (source, value)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "fampersist", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "exceeds 4300" in proc.stderr
 
 
 class TestCerfCommand:
@@ -359,6 +411,29 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--tamper")
         assert code == 1
         assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("module", "--example", "zigzag:3"), 0),
+    (("module", "--example", "wrinkled-cylinder", "--max-degree", "2",
+      "--field", "3"), 0),
+    (("module", "--example", "wrinkled-cylinder", "--emit-family"), 0),
+    (("cerf", "--example", "wrinkled-cylinder", "--format", "json"), 0),
+    (("kde",), 0),
+    (("kde", "--summands"), 0),
+    (("stability", "--example", "hat", "--example2", "zigzag:2",
+      "--epsilon", "1/2"), 1),
+    (("verify", "--format", "json"), 0),
+])
+def test_json_output_matches_json_dumps(capsys, tmp_path, argv, expected):
+    if argv[0] == "kde":
+        data = tmp_path / "samples.csv"
+        data.write_text("-1.5\n-1\n0.25\n1\n1.5\n")
+        argv += ("--data", str(data), "--bandwidth", "1/4:2", "--tres", "4",
+                 "--xres", "8")
+    code, out, _ = run(capsys, *argv)
+    assert code == expected
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and only
+``io`` writes JSON.
 
 No linter is installed, so this parses each module with ``ast``.  An import
 kept on purpose, such as one the benchmark tracer wraps by name, carries
@@ -53,3 +54,38 @@ def test_detects_unused_and_honours_noqa():
               "def f(x: \"d\", y: \"List[int]\") -> \"e\":\n"
               "    return c\n")
     assert unused_imports(source) == [(2, "os")]
+
+
+def json_writers(source):
+    """Lines that call or import ``json.dump`` or ``json.dumps``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            names = {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "json"):
+            names = {node.attr}
+        else:
+            continue
+        if names & {"dump", "dumps"}:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_io_writes_json(path):
+    """Every payload goes through ``io.dump_json``, so the benchmark
+    tracer's io.serialize layer sees all JSON writing; in ``io`` itself
+    ``json.dumps`` is only the fallback for values it does not write."""
+    writers = json_writers(path.read_text())
+    assert len(writers) == (path.name == "io.py")
+
+
+def test_detects_json_writers():
+    source = ("import json\n"
+              "from json import dumps as d\n"
+              "json.loads('1')\n"
+              "f = json.dump\n"
+              "json.dumps({})\n")
+    assert json_writers(source) == [2, 4, 5]
