@@ -16,6 +16,8 @@ from .rational import SAMPLE_PRECISION, parse_rational, snap
 from .simplicial import PrismComplex, SimplicialComplex, build_prism
 
 NW_DENOMINATOR_GUARD = Fraction(1, 10**12)
+# The height range of wrinkled_cylinder_family away from its wrinkle.
+WRINKLED_HEIGHTS = (Fraction(0), Fraction(4))
 
 
 class FamilyError(ValueError):
@@ -43,7 +45,6 @@ class PLFamily:
     base: SimplicialComplex
     time_breakpoints: tuple  # Fractions
     vertex_values: tuple  # tuple of rows (tuples of Fractions)
-    label: str = ""
 
     def to_prism(self) -> PrismComplex:
         return build_prism(self.base, self.time_breakpoints, self.vertex_values)
@@ -56,8 +57,7 @@ class PLFamily:
         rows = tuple(
             tuple(v + Fraction(o) for v, o in zip(row, orow))
             for row, orow in zip(self.vertex_values, offsets))
-        return PLFamily(self.base, self.time_breakpoints, rows,
-                        label=self.label + "+shift")
+        return PLFamily(self.base, self.time_breakpoints, rows)
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def point_family(g: Sequence) -> PLFamily:
     if len(set(bps)) != len(bps):
         raise FamilyError("duplicate breakpoints")
     rows = tuple((v,) for _, v in pairs)
-    return PLFamily(SimplicialComplex.point(), bps, rows, label="point")
+    return PLFamily(SimplicialComplex.point(), bps, rows)
 
 
 def hat_family(steps: int = 2) -> PLFamily:
@@ -97,8 +97,7 @@ def hat_family(steps: int = 2) -> PLFamily:
     for i in range(steps + 1):
         t = Fraction(i, steps)
         pts.append((t, 2 * min(t, 1 - t)))
-    fam = point_family(pts)
-    return PLFamily(fam.base, fam.time_breakpoints, fam.vertex_values, label="hat")
+    return point_family(pts)
 
 
 def zigzag_family(n: int) -> PLFamily:
@@ -109,9 +108,7 @@ def zigzag_family(n: int) -> PLFamily:
     for i in range(2 * n + 1):
         t = Fraction(i, 2 * n)
         pts.append((t, Fraction(i % 2)))
-    fam = point_family(pts)
-    return PLFamily(fam.base, fam.time_breakpoints, fam.vertex_values,
-                    label=f"zigzag:{n}")
+    return point_family(pts)
 
 
 def _circle_angles(subdiv: int):
@@ -150,8 +147,7 @@ def cylinder_family(subdiv: int) -> PLFamily:
         raise FamilyError("subdiv must be >= 3")
     row = tuple(_sine_samples(subdiv))
     base = SimplicialComplex.circle(subdiv)
-    return PLFamily(base, (Fraction(0), Fraction(1)), (row, row),
-                    label=f"cylinder:{subdiv}")
+    return PLFamily(base, (Fraction(0), Fraction(1)), (row, row))
 
 
 def _wrinkle_slot(heights, m: Fraction):
@@ -172,19 +168,20 @@ def _wrinkle_slot(heights, m: Fraction):
 
 
 def wrinkled_cylinder_family(p="1/4", q="3/4", ell="1", m="2", n="3",
-                             u="0", v="4", subdiv: int = 8) -> PLFamily:
+                             subdiv: int = 8) -> PLFamily:
     """Cylinder family with a wrinkle: a lens of two extra critical curves.
 
     Away from (p, q) the family equals the cylinder heights rescaled to
-    [u, v].  At t = p the wrinkle opens at value m; its critical values
-    reach ell (local min) and n (local max) at t = (p+q)/2 and close back
-    to m at t = q.  Time breakpoints: 0, p, (p+q)/2, q, 1.
+    WRINKLED_HEIGHTS, [0, 4].  At t = p the wrinkle opens at value m; its
+    critical values reach ell (local min) and n (local max) at
+    t = (p+q)/2 and close back to m at t = q.  Time breakpoints: 0, p,
+    (p+q)/2, q, 1.
     """
     p, q = parse_rational(p), parse_rational(q)
     ell, m, n = parse_rational(ell), parse_rational(m), parse_rational(n)
-    u, v = parse_rational(u), parse_rational(v)
+    u, v = WRINKLED_HEIGHTS
     if not (u < ell < m < n < v):
-        raise FamilyError("need u < ell < m < n < v")
+        raise FamilyError(f"need {u} < ell < m < n < {v}")
     if not (0 < p < q < 1):
         raise FamilyError("need 0 < p < q < 1 (no room for the wrinkle)")
     if subdiv < 6:
@@ -205,7 +202,7 @@ def wrinkled_cylinder_family(p="1/4", q="3/4", ell="1", m="2", n="3",
     rows = (plain, row(m, m), row(n, ell), row(m, m), plain)
     bps = (Fraction(0), p, mid, q, Fraction(1))
     base = SimplicialComplex.circle(subdiv)
-    return PLFamily(base, bps, rows, label=f"wrinkled-cylinder:{subdiv}")
+    return PLFamily(base, bps, rows)
 
 
 def _bandwidths(bandwidth_range, t_res: int):
@@ -263,7 +260,7 @@ def kde_family(samples: Sequence[float], kernel: KernelSpec,
         rows.append(tuple(row))
     base = SimplicialComplex.path(x_res)
     bps = tuple(t for t, _ in bws)
-    return PLFamily(base, bps, tuple(rows), label="kde")
+    return PLFamily(base, bps, tuple(rows))
 
 
 def nw_regression_family(pairs, kernel: KernelSpec, bandwidth_range,
@@ -303,4 +300,4 @@ def nw_regression_family(pairs, kernel: KernelSpec, bandwidth_range,
         rows.append(tuple(row))
     base = SimplicialComplex.path(x_res)
     bps = tuple(t for t, _ in bws)
-    return PLFamily(base, bps, tuple(rows), label="nw-regression")
+    return PLFamily(base, bps, tuple(rows))

@@ -33,11 +33,18 @@ def family_to_json_dict(f: PLFamily):
     }
 
 
+def _json_int(value) -> int:
+    """value when it is a JSON integer; a boolean, float or string is not."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def family_from_json_dict(data) -> PLFamily:
     try:
         base_data = data["base"]
-        n = int(base_data["vertices"])
-        simplices = [tuple(sorted(int(v) for v in s))
+        n = _json_int(base_data["vertices"])
+        simplices = [tuple(sorted(_json_int(v) for v in s))
                      for s in base_data["simplices"]]
         base = SimplicialComplex.from_maximal(n, simplices)
         times = tuple(parse_rational(t) for t in data["time_breakpoints"])

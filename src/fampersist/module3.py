@@ -5,6 +5,10 @@ grid of triples (a, b, c): the homology of the part of the prism complex
 lying over times in [a, b] with vertex values at most c.  The partial order
 has (a, b, c) below (a', b', c') when [a, b] is contained in [a', b'] and
 c <= c', so structure maps widen the time window and raise the level.
+The grid is the prism's: its time breakpoints and
+``PrismComplex.level_values``.  A slab changes only at a vertex value, so
+that grid holds every dim and every structure map of the module on
+continuous (a, b, c).
 
 Along the level axis a window's slabs are the sublevel sets of a lower-star
 filtration, so one persistence reduction per window gives every dim of the
@@ -31,8 +35,7 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import homology
 from .homology import Barcode, FieldSpec
@@ -84,7 +87,6 @@ class Module3:
     time_values: List[Fraction]
     level_values: List[Fraction]
     dims: Dict[Point, int]
-    prism: PrismComplex
     # Never serialized, shared by one report's modules: the two lists of
     # _lower_star_cells, and the barcodes that _barcode has reduced, of
     # each window (w, w) by the build and of each pair (w, w') read since.
@@ -222,38 +224,32 @@ class Module3:
 
 
 def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
-    """The prism's simplices on the grid, in filtration order: by stage,
-    then dimension, then simplex.  Returns two lists over them, ``cells``
-    of (tmin, tmax) and the face index of (faces, stage).
+    """The prism's simplices in filtration order: by stage, then dimension,
+    then simplex.  Returns two lists over them, ``cells`` of (tmin, tmax)
+    and the face index of (faces, stage).
 
     tmin and tmax are the simplex's first and last time index, and stage is
-    the first grid index whose level is at least its top vertex value, so
+    the index in ``levels``, the prism's grid, of its top vertex value, so
     the slab at (i, j, k) holds exactly the simplices with i <= tmin,
-    tmax <= j and stage <= k.  A simplex above the top level is left out,
-    and so is every coface of it: the kept simplices are a prefix of the
-    lower-star order, closed under faces.  ``faces`` holds the positions in
-    these lists of the codimension-1 faces, in vertex-removal order (face k
-    has sign (-1)^k), and is empty for a vertex: every window's reduction
-    reads its cells by position in this index.
+    tmax <= j and stage <= k.  ``faces`` holds the positions in these lists
+    of the codimension-1 faces, in vertex-removal order (face k has sign
+    (-1)^k), and is empty for a vertex: every window's reduction reads its
+    cells by position in this index.
     """
     stage = {v: bisect_left(levels, x) for v, x in p.vertex_level.items()}
     order, index = homology.lower_star(p.simplices, stage)
-    n = bisect_left(index, len(levels), key=itemgetter(1))
-    return [(s[0][0], s[-1][0]) for s in order[:n]], index[:n]
+    return [(s[0][0], s[-1][0]) for s in order], index
 
 
-def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
-                   level_values: Optional[List[Fraction]] = None):
-    """One module per degree, all reading one cache of barcodes, with the
-    dims read from one reduction per window."""
+def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec):
+    """One module per degree on the prism's grid, all reading one cache of
+    barcodes, with the dims read from one reduction per window."""
     times = list(p.time_breakpoints)
-    levels = list(level_values) if level_values is not None else p.level_values()
-    if any(a >= b for a, b in zip(levels, levels[1:])):
-        raise ModuleError("level values must be strictly increasing")
+    levels = p.level_values()
     cells, index = _lower_star_cells(p, levels)
     bars = {}
     mods = [Module3(degree=d, fieldspec=fieldspec, time_values=times,
-                    level_values=levels, dims={}, prism=p,
+                    level_values=levels, dims={},
                     cells=cells, index=index, bars=bars) for d in degrees]
     for w in mods[0].windows():
         bc = mods[0]._barcode(w, w)
@@ -265,19 +261,19 @@ def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec,
 
 
 def build_module(p: PrismComplex, degree: int,
-                 fieldspec: FieldSpec = FieldSpec(),
-                 level_values: Optional[List[Fraction]] = None) -> Module3:
+                 fieldspec: FieldSpec = FieldSpec()) -> Module3:
     """Compute dims over the full grid from one reduction per window; the
     barcode of a pair of windows is reduced when a map across it is read.
 
-    The level grid defaults to the distinct vertex values, midpoints between
-    consecutive ones, and one value above the maximum, which captures every
-    combinatorial change of the sublevel complexes; a given grid must be
-    strictly increasing.  It is the one-degree case of ``betti_report``.
+    The level grid is the prism's: the distinct vertex values, midpoints
+    between consecutive ones, and one value above the maximum.  A slab
+    changes only at a vertex value, so this grid holds every dim and every
+    structure map of the module; any other grid would only re-sample it.
+    It is the one-degree case of ``betti_report``.
     """
     if degree < 0:
         raise ModuleError("degree must be nonnegative")
-    return _build_modules(p, [degree], fieldspec, level_values)[0]
+    return _build_modules(p, [degree], fieldspec)[0]
 
 
 @dataclass
@@ -301,7 +297,6 @@ def betti_report(p: PrismComplex, max_degree: int,
 class Subdiagram:
     """Restriction of a module to a chosen list of grid points."""
 
-    module: Module3
     points: List[Point]
     dims: List[int]
     ranks: Dict[Tuple[int, int], int]  # positions in the point list
@@ -325,7 +320,7 @@ def finite_subdiagram(mod: Module3, points: List[Point]) -> Subdiagram:
         for t, y in enumerate(points):
             if _leq(x, y):
                 ranks[(s, t)] = mod.rank(x, y)
-    return Subdiagram(module=mod, points=list(points), dims=dims, ranks=ranks)
+    return Subdiagram(points=list(points), dims=dims, ranks=ranks)
 
 
 # ----- thin decomposition --------------------------------------------------

@@ -5,8 +5,9 @@ norm, their modules are epsilon-interleaved in the level direction.  A
 necessary consequence checked here pointwise: the rank of the level shift
 by 2*epsilon in one module is at most the dimension of the other module at
 the level shifted by epsilon.  Both sides are read from the two modules:
-when a level grid holds every vertex value, the slab at any level c is the
-slab at the highest grid level <= c, and empty below the lowest one.
+a module's level grid holds every vertex value of its prism, so the slab at
+any level c is the slab at the highest grid level <= c, and empty below the
+lowest one.
 """
 
 from __future__ import annotations
@@ -89,9 +90,8 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
     Levels are taken from the union of the two grids.  A shifted level need
     not lie on a grid: each module answers at the index
     bisect_right(level_values, c) - 1 of the highest grid level <= c, which
-    has the same slab (index -1 is the empty slab, of dim and rank 0).
-    This needs every vertex value of a module's prism on its level grid, as
-    build_module's default grid has; otherwise FamilyError.
+    has the same slab, since the grid holds every vertex value of the
+    module's prism (index -1 is the empty slab, of dim and rank 0).
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -102,9 +102,6 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
         raise FamilyError("modules must share the coefficient field")
     if mf.time_values != mg.time_values:
         raise FamilyError("families must share the breakpoints")
-    for m in (mf, mg):
-        if not set(m.prism.vertex_level.values()) <= set(m.level_values):
-            raise FamilyError("a level grid misses a vertex value")
 
     times = mf.time_values
     levels = sorted(set(mf.level_values) | set(mg.level_values))

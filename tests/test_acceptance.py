@@ -46,11 +46,10 @@ def run_criterion(capsys, name, budget, body):
 def test_criterion_1_hat_grid_formula(capsys):
     def body():
         prism = hat_family(8).to_prism()
-        levels = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(9, 8)]
-        mod = build_module(prism, 0, level_values=levels)
+        mod = build_module(prism, 0)
         for i, j, k in mod.points():
             a, b = mod.time_values[i], mod.time_values[j]
-            c = levels[k]
+            c = mod.level_values[k]
             if c >= 1:
                 want = 1
             elif 2 * max(a, 1 - b) <= c:
@@ -61,7 +60,7 @@ def test_criterion_1_hat_grid_formula(capsys):
                 want = 0
             assert mod.dim((i, j, k)) == want, (a, b, c)
         for degree in (1, 2):
-            assert not build_module(prism, degree, level_values=levels).dims
+            assert not build_module(prism, degree).dims
 
     run_criterion(capsys, "hat grid two-peak formula", 5, body)
 
@@ -237,9 +236,10 @@ def test_criterion_7_oracle_equivalence(capsys):
 
 def test_criterion_8_euler_consistency(capsys):
     def body():
-        families = [hat_family(4), zigzag_family(3), cylinder_family(8),
-                    wrinkled_cylinder_family()]
-        for fam in families:
+        families = {"hat": hat_family(4), "zigzag:3": zigzag_family(3),
+                    "cylinder:8": cylinder_family(8),
+                    "wrinkled-cylinder": wrinkled_cylinder_family()}
+        for name, fam in families.items():
             prism = fam.to_prism()
             report = betti_report(prism, 2)
             mod0 = report.modules[0]
@@ -249,7 +249,7 @@ def test_criterion_8_euler_consistency(capsys):
                           for d in (0, 1, 2))
                 slab = slab_sublevel(prism, i, j, c)
                 count = sum((-1) ** (len(s) - 1) for s in slab.simplices)
-                assert chi == count, (fam.label, i, j, c)
+                assert chi == count, (name, i, j, c)
 
     run_criterion(capsys, "Euler characteristic consistency", None, body)
 

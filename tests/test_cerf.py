@@ -18,7 +18,7 @@ from fampersist.simplicial import (ComplexError, SimplicialComplex,
 def reversed_family(fam: PLFamily) -> PLFamily:
     bps = tuple(1 - t for t in reversed(fam.time_breakpoints))
     rows = tuple(reversed(fam.vertex_values))
-    return PLFamily(fam.base, bps, rows, label=fam.label + ":reversed")
+    return PLFamily(fam.base, bps, rows)
 
 
 class TestFiberCritical:

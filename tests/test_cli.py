@@ -136,6 +136,30 @@ class TestModuleCommand:
         assert code == 2 and out == ""
         assert "bad family description" in err
 
+    @pytest.mark.parametrize("vertices, simplices", [
+        (True, [[0.9]]),
+        ("2", [[0, 1]]),
+        (2.0, [[0, 1]]),
+        (2, [[0, True]]),
+        (2, [[0, 1.0]]),
+        (2, [["0", 1]]),
+        (2, ["01"]),
+    ], ids=["true-vertices", "string-vertices", "float-vertices",
+            "true-id", "float-id", "string-id", "string-simplex"])
+    def test_non_integer_base_rejected(self, capsys, tmp_path, vertices,
+                                       simplices):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({
+            "base": {"vertices": vertices, "simplices": simplices},
+            "time_breakpoints": ["0", "1"],
+            # int() would read each of these bases as a valid one
+            "vertex_values": [["0", "1"][:int(vertices)],
+                              ["1", "0"][:int(vertices)]],
+        }))
+        code, out, err = run(capsys, "module", "--family", str(path))
+        assert code == 2 and out == ""
+        assert "bad family description: expected an integer" in err
+
 
 class TestBadRationals:
     @pytest.mark.parametrize("argv", [

@@ -1,0 +1,58 @@
+"""Byte gate on the CLI: exit code and sha256 of stdout for a fixed table of
+commands.  A refactor that keeps every output the same keeps this table; a
+change that means to alter an output updates the digest it names."""
+
+import hashlib
+
+import pytest
+
+from fampersist.cli import main
+
+SAMPLE = "-1.5\n-1\n-0.25\n0.25\n0.5\n1\n1.5\n2.25\n"
+
+GOLDEN = [
+    (("module", "--example", "hat"), 0,
+     "4dbf97323f71d3e307ece58afcc797f1c6e5ff24822f814c2d1e44954fe9af21"),
+    (("module", "--example", "hat", "--format", "csv"), 0,
+     "f1eda544fafb9f3ce54c928b7ea6a7fb8c378b6f4bc804fd97781a6f16b21eeb"),
+    (("module", "--example", "zigzag:3", "--max-degree", "1"), 0,
+     "de822fda41b88d13c176a7d6a891278d6eb01e289a71c557d7b29f1a62ba3439"),
+    (("module", "--example", "cylinder:6", "--degree", "1", "--field", "3"),
+     0, "3e816ad3be56501c95d0ce83c2afb6e79180e82d495e878e69ba3322ee984cea"),
+    (("module", "--example", "wrinkled-cylinder", "--max-degree", "2",
+      "--field", "3"), 0,
+     "38d4415aefae90316e64fb3c6163f95cb7f51a592410b4c88960fdb8b12591ad"),
+    (("module", "--example", "hat", "--emit-family"), 0,
+     "e628bd93ee9d1028da5c62eb5543946a92199c28d863aa88ae794d7c5665703e"),
+    (("verify",), 0,
+     "1d7196867d08c917c786e2c6fd0995b3a3f2e008f0c378ddc8cace1195a07b80"),
+    (("verify", "--format", "json"), 0,
+     "f6a5b874889515a8bafc73649508c62ab2036eb7376ac165d1950cd162114538"),
+    (("verify", "--tamper"), 1,
+     "2e5879a88f5d29c293e39ff94e8ff00f179131a41b4758c3d80f1fa8e12b0a32"),
+    (("verify", "--format", "json", "--tamper"), 1,
+     "42256d6848f513a666dce8c11a26f33bf1660cb672abb92b4fb198d5347d246d"),
+    (("verify", "--field", "3"), 0,
+     "1d7196867d08c917c786e2c6fd0995b3a3f2e008f0c378ddc8cace1195a07b80"),
+    (("stability", "--example", "hat", "--example2", "zigzag:2",
+      "--epsilon", "1/2"), 1,
+     "da0f72e331345b93368c4660add5cbeaf590a4d381d99b3f85b9ef869ebf9ef3"),
+    (("cerf", "--example", "wrinkled-cylinder", "--format", "json"), 0,
+     "6a30bbc8cb957b8ba2a60d5f70200371d8d3eb54f0a872857bcef434f23adf18"),
+    (("cerf", "--example", "hat"), 0,
+     "a828fd9aa81d6041bdd274faa4e1e859d2bb0dfc365bdc1db80f659da5c2bb39"),
+    (("kde", "--summands", "--tres", "4", "--xres", "16"), 0,
+     "2516f1beeba04ebc5b8168bfe37423942a6e49850292245a5ffaf698c2b877ab"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+def test_cli_stdout_digest(capsys, tmp_path, argv, code, digest):
+    if argv[0] == "kde":
+        data = tmp_path / "samples.csv"
+        data.write_text(SAMPLE)
+        argv += ("--data", str(data), "--bandwidth", "1/4:2")
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,11 +6,14 @@ its Betti number from ``betti`` and every adjacent edge from
 dims, and the same edge ranks in its JSON and from ``Module3.rank``; every
 rank between two levels of one window, answered from the window's barcode,
 must equal ``induced_rank`` on the two slabs; so must every rank between
-two windows, answered from the image barcode of the window pair.  No
-module computation may build a slab.
+two windows, answered from the image barcode of the window pair.  The
+module's grid is the prism's, and it is complete: at any level c, off the
+grid too, a slab is the one at the highest grid level <= c.  No module
+computation may build a slab.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -76,41 +79,75 @@ def families():
     return [pytest.param(fam, id=label) for label, fam in cases]
 
 
-def level_grids(prism):
-    """The default grid, verify's hat grid, and a grid reaching below the
-    minimum that misses vertex values."""
-    values = sorted(set(prism.vertex_level.values()))
-    custom = sorted({values[0] - 1, (values[0] + values[-1]) / 2,
-                     values[-1]})
-    return [None, [F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(9, 8)], custom]
-
-
 @pytest.mark.parametrize("fam", families())
 def test_engine_matches_per_point_reference(fam):
     prism = fam.to_prism()
-    for levels in level_grids(prism):
-        for fieldspec in (FieldSpec(2), FieldSpec(3)):
-            for degree in (0, 1, 2):
-                mod = build_module(prism, degree, fieldspec,
-                                   level_values=levels)
-                dims, edges, slabs = reference_module(
-                    prism, degree, fieldspec, mod.level_values)
-                assert mod.dims == dims, (levels, fieldspec, degree)
-                assert {(tuple(x), tuple(y)): r for x, y, r
-                        in mod.to_json_dict()["edge_ranks"]} == edges, \
-                    (levels, fieldspec, degree)
-                for x in mod.points():
-                    for y in mod.neighbors_up(x):
-                        assert mod.rank(x, y) == edges.get((x, y), 0), (x, y)
-                ranks = {}
-                for x in mod.points():
-                    for k in range(x[2] + 2, len(mod.level_values)):
-                        y = x[:2] + (k,)
-                        key = (slabs[x], slabs[y])
+    for fieldspec in (FieldSpec(2), FieldSpec(3)):
+        for degree in (0, 1, 2):
+            mod = build_module(prism, degree, fieldspec)
+            dims, edges, slabs = reference_module(
+                prism, degree, fieldspec, mod.level_values)
+            assert mod.dims == dims, (fieldspec, degree)
+            assert {(tuple(x), tuple(y)): r for x, y, r
+                    in mod.to_json_dict()["edge_ranks"]} == edges, \
+                (fieldspec, degree)
+            for x in mod.points():
+                for y in mod.neighbors_up(x):
+                    assert mod.rank(x, y) == edges.get((x, y), 0), (x, y)
+            ranks = {}
+            for x in mod.points():
+                for k in range(x[2] + 2, len(mod.level_values)):
+                    y = x[:2] + (k,)
+                    key = (slabs[x], slabs[y])
+                    if key not in ranks:
+                        ranks[key] = induced_rank(*key, degree, fieldspec)
+                    assert mod.rank(x, y) == ranks[key], (x, y)
+
+
+def probe_levels(levels, rng):
+    """Every grid level, one below the lowest and two above the highest,
+    one strictly inside each gap of the grid, and four seeded rationals
+    from one below the lowest to two above the highest."""
+    lo, hi = levels[0], levels[-1]
+    inside = [(3 * u + v) / 4 for u, v in zip(levels, levels[1:])]
+    seeded = [lo - 1 + (hi - lo + 3) * F(rng.randint(0, 96), 96)
+              for _ in range(4)]
+    return sorted({*levels, lo - 1, hi + F(1, 3), hi + 7, *inside, *seeded})
+
+
+@pytest.mark.parametrize("fam", families())
+def test_default_grid_is_complete(fam):
+    """At a level c on or off the grid, the slab of a window has the dim of
+    the module at the highest grid level <= c, or 0 below the lowest, and
+    the map between the slabs at c <= c' has the rank of the module's map
+    between those grid points."""
+    prism = fam.to_prism()
+    levels = prism.level_values()
+    probes = probe_levels(levels, random.Random(13))
+    grid = [bisect_right(levels, c) - 1 for c in probes]
+    nt = len(prism.time_breakpoints)
+    windows = [(i, j) for i in range(nt) for j in range(i, nt)]
+    slabs = {w + (c,): slab_sublevel(prism, *w, c).simplices
+             for w in windows for c in probes}
+    for fieldspec in (FieldSpec(2), FieldSpec(3)):
+        for degree in (0, 1, 2):
+            mod = build_module(prism, degree, fieldspec)
+            assert mod.level_values == levels
+            ranks = {}
+            for w in windows:
+                for s, (c, k) in enumerate(zip(probes, grid)):
+                    slab = slabs[w + (c,)]
+                    want = betti(slab, degree, fieldspec)
+                    assert (mod.dim(w + (k,)) if k >= 0 else 0) == want, \
+                        (w, c, degree, fieldspec)
+                    for cp, kp in zip(probes[s + 1:], grid[s + 1:]):
+                        key = (slab, slabs[w + (cp,)])
                         if key not in ranks:
                             ranks[key] = induced_rank(*key, degree,
                                                       fieldspec)
-                        assert mod.rank(x, y) == ranks[key], (x, y)
+                        got = mod.rank(w + (k,), w + (kp,)) if k >= 0 else 0
+                        assert got == ranks[key], (w, c, cp, degree,
+                                                   fieldspec)
 
 
 def higher_degree_families():

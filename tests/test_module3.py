@@ -93,24 +93,6 @@ class TestBuildModule:
         with pytest.raises(ModuleError):
             build_module(hat_family(2).to_prism(), -1)
 
-    @pytest.mark.parametrize("levels", [[F(1), F(0)],
-                                        [F(1, 2), F(0), F(1)],
-                                        [F(0), F(0), F(1)]])
-    def test_level_grid_not_strictly_increasing_rejected(self, levels):
-        with pytest.raises(ModuleError):
-            build_module(hat_family(2).to_prism(), 0, level_values=levels)
-
-    def test_level_refinement_keeps_old_dims(self):
-        prism = hat_family(2).to_prism()
-        mod = build_module(prism, 0)
-        levels = sorted(set(mod.level_values)
-                        | {(u + v) / 2 for u, v in
-                           zip(mod.level_values, mod.level_values[1:])})
-        fine = build_module(prism, 0, level_values=levels)
-        for i, j, k in mod.points():
-            kk = fine.level_values.index(mod.level_values[k])
-            assert mod.dim((i, j, k)) == fine.dim((i, j, kk))
-
 
 class TestSerialization:
     def test_csv_contains_full_window_row(self):
@@ -159,7 +141,8 @@ class TestBettiReport:
             return index(*args)
 
         monkeypatch.setattr(module3, "_lower_star_cells", counting)
-        report = betti_report(wrinkled_cylinder_family().to_prism(), 1)
+        prism = wrinkled_cylinder_family().to_prism()
+        report = betti_report(prism, 1)
         assert len(calls) == 1
         mod = report.modules[0]
         assert report.modules[1].cells is mod.cells
@@ -169,7 +152,7 @@ class TestBettiReport:
         r = mod.rank(x, y)
         assert ((1, 2), (0, 3)) in mod.bars
         assert len(calls) == 1
-        slab_x, slab_y = (slab_sublevel(mod.prism, i, j,
+        slab_x, slab_y = (slab_sublevel(prism, i, j,
                                         mod.level_values[k]).simplices
                           for i, j, k in (x, y))
         assert r == induced_rank(slab_x, slab_y, 0)
@@ -177,13 +160,14 @@ class TestBettiReport:
     def test_window_pair_reduced_on_first_map(self, monkeypatch):
         """The first map between two adjacent windows reduces their pair
         once; a second map between them, to another level, reduces nothing."""
-        mod = build_module(wrinkled_cylinder_family().to_prism(), 0)
+        prism = wrinkled_cylinder_family().to_prism()
+        mod = build_module(prism, 0)
         x, y = next((x, y) for x in sorted(mod.support())
                     for y in ((x[0] - 1, x[1], x[2] + 2),
                               (x[0], x[1] + 1, x[2] + 2))
                     if y in mod.dims and y[:2] + (x[2] + 1,) in mod.dims)
         maps = [(x, y), (x, y[:2] + (x[2] + 1,))]
-        wants = [induced_rank(*(slab_sublevel(mod.prism, i, j,
+        wants = [induced_rank(*(slab_sublevel(prism, i, j,
                                               mod.level_values[k]).simplices
                                 for i, j, k in pair), 0) for pair in maps]
         calls = count_reductions(monkeypatch)
