@@ -1,4 +1,4 @@
-"""Exact simplicial homology over small prime fields.
+"""Exact homology of cell filtrations over small prime fields.
 
 One sparse persistence column reduction over GF(p) serves every query:
 ``staged_reduce`` turns a staged filtration into a barcode, the rank of
@@ -10,21 +10,27 @@ and ``Barcode.rank_curve`` those alive from every stage to the stage a
 fixed shift later, in one pass.  Coefficients stay integers mod p
 throughout, so results are exact.
 
-The reduction reads integers only.  A face index lists simplices in
-filtration order, each as the positions of its faces in the index and its
-stage; a reduction takes the positions of one filtration's simplices in
-that index, and its rows are those positions.  ``index_filtration`` builds
-an index from vertex tuples and rejects a face that is missing or listed
-after its coface, which is how ``betti`` and ``induced_rank`` check that
-their input is downward closed, and ``lower_star`` builds the index of a
-lower-star filtration, each simplex at its vertices' largest stage.
-Columns are reduced from the top dimension down, and the column of a
-simplex that already is the pivot of a higher column is cleared, not
-reduced, when that pivot row belongs to the subfiltration (any row,
-without one): it would reduce to zero.  A plain barcode records which of
-its columns ended zero; an image reduction of a subfiltration clears those
-columns from the start, since whether a column reduces to zero does not
-depend on the order of the rows.
+The reduction reads integers only.  A face index lists cells in
+filtration order, each as its boundary, a tuple of (position in the
+index, integer coefficient) pairs, its stage and its dimension; a
+reduction takes the positions of one filtration's cells in that index,
+and its rows are those positions.  ``index_filtration`` builds the index
+of a simplicial filtration from vertex tuples, with coefficients +-1, and
+rejects a face that is missing or listed after its coface, which is how
+``betti`` and ``induced_rank`` check that their input is downward closed,
+and ``lower_star`` builds the index of a lower-star filtration, each
+simplex at its vertices' largest stage.  ``morse_complex`` turns a face
+index and a grade per cell into the index of its critical cells under an
+acyclic matching that pairs cells of one grade only, with integer Morse
+boundaries: every filtration whose cells are a downset of grades keeps
+its barcode, and every image barcode of two such filtrations its bars'
+ranks (Mischaikow and Nanda 2013).  Columns are reduced from the top
+dimension down, and the column of a cell that already is the pivot of a
+higher column is cleared, not reduced, when that pivot row belongs to the
+subfiltration (any row, without one): it would reduce to zero.  A plain
+barcode records which of its columns ended zero; an image reduction of a
+subfiltration clears those columns from the start, since whether a column
+reduces to zero does not depend on the order of the rows.
 """
 
 from __future__ import annotations
@@ -70,8 +76,8 @@ class Barcode:
 
     bars: dict = field(default_factory=dict)  # degree -> list of (birth, death|None)
     # Never serialized, set on plain barcodes only: zero[g] is 1 when the
-    # column of the simplex at position g of the face index ended zero (a
-    # vertex, a cleared column or one that reduced to zero).
+    # column of the cell at position g of the face index ended zero (an
+    # empty boundary, a cleared column or one that reduced to zero).
     zero: bytes = field(default=b"", compare=False, repr=False)
 
     def add(self, degree: int, birth: int, death):
@@ -100,39 +106,39 @@ def _reduce_columns(filtration, index, row, zero: bytearray,
     """Persistence column reduction; returns {death column -> low row}.
 
     ``filtration`` holds positions in ``index``, whose entry g is the
-    (faces, stage) of a simplex, and ``row`` maps a face position to its
-    row (None: the position itself).  Rows below ``len(index)`` are member
-    rows and equal their positions.  Columns are reduced by dimension from
-    the top down, each dimension in filtration order, with the same pairs
-    as one left-to-right pass.  A column marked in ``zero`` is skipped, and
-    every column that ends zero gets marked.  Once a column owns a pivot on
-    a member row, the reduced column is a cycle of members that all come
-    before the pivot's simplex and include it, so that simplex's boundary
-    is a combination of earlier columns and reduces to zero: its column is
-    cleared, never reduced (Chen and Kerber 2011).  A pivot on a row past
-    the members clears nothing, since such a cycle may hold later
-    simplices.
+    (boundary, stage, dim) of a cell, the boundary as (face position,
+    integer coefficient) pairs read mod p, and ``row`` maps a face
+    position to its row (None: the position itself).  Rows below
+    ``len(index)`` are member rows and equal their positions.  Columns are
+    reduced by dimension from the top down, each dimension in filtration
+    order, with the same pairs as one left-to-right pass.  A column marked
+    in ``zero`` is skipped, and every column that ends zero gets marked,
+    an empty boundary at once.  Once a column owns a pivot on a member
+    row, the reduced column is a cycle of members that all come before the
+    pivot's cell and include it, so that cell's boundary is a combination
+    of earlier columns and reduces to zero: its column is cleared, never
+    reduced (Chen and Kerber 2011).  A pivot on a row past the members
+    clears nothing, since such a cycle may hold later cells.
     """
     p = fieldspec.characteristic
     n = len(index)
     by_dim = {}
     for j in filtration:
-        faces = index[j][0]
-        if faces:
-            by_dim.setdefault(len(faces), []).append(j)
+        boundary, _, d = index[j]
+        if boundary:
+            by_dim.setdefault(d, []).append(j)
         else:
             zero[j] = 1
     pairs = {}
     pivots = {}  # low row -> (reduced column owning it, 1 / its coeff)
     for d in sorted(by_dim, reverse=True):
-        signs = (1, p - 1) * d  # (-1)^k mod p for face k
         for j in by_dim[d]:
             if zero[j]:
                 continue
-            faces = index[j][0]
-            if row is not None:
-                faces = map(row.__getitem__, faces)
-            col = dict(zip(faces, signs))
+            if row is None:
+                col = {g: c % p for g, c in index[j][0] if c % p}
+            else:
+                col = {row[g]: c % p for g, c in index[j][0] if c % p}
             while col:
                 low = max(col)
                 pivot = pivots.get(low)
@@ -157,22 +163,24 @@ def _reduce_columns(filtration, index, row, zero: bytearray,
 
 def staged_reduce(filtration: Sequence, index: Sequence,
                   fieldspec: FieldSpec = FieldSpec(), sub=None) -> Barcode:
-    """Barcode of a staged filtration of integer-indexed simplices.
+    """Barcode of a staged filtration of integer-indexed cells.
 
-    ``index`` is a face index: entry g is the (faces, stage) of a simplex,
-    ``faces`` holding the positions in ``index`` of its codimension-1 faces
-    in vertex-removal order, so face k has sign (-1)^k, and empty for a
-    vertex.  ``filtration`` lists the increasing positions of this
-    filtration's simplices in ``index``, closed under faces.  Faces come
-    before cofaces and stages are non-decreasing; this is not checked
-    here, and ``index_filtration`` builds such an index from simplices,
-    checking both.  Stage-wise Betti counts of the result match ``betti``
-    on every prefix subcomplex.  Zero-length bars are kept, so the bars
-    born by stage s count the cycles at stage s.  Without ``sub``, the
-    result's ``zero`` marks the positions whose columns ended zero.
+    ``index`` is a face index: entry g is the (boundary, stage, dim) of a
+    cell, ``boundary`` a tuple of (position in ``index``, integer
+    coefficient) pairs, empty for a cycle such as a vertex.  The cells may
+    be simplices, from ``index_filtration`` or ``lower_star``, or the
+    critical cells of ``morse_complex``.  ``filtration`` lists the
+    increasing positions of this filtration's cells in ``index``, closed
+    under faces.  Faces come before cofaces and stages are non-decreasing;
+    this is not checked here, and ``index_filtration`` builds such an
+    index from simplices, checking both.  Stage-wise Betti counts of the
+    result match ``betti`` on every prefix subcomplex.  Zero-length bars
+    are kept, so the bars born by stage s count the cycles at stage s.
+    Without ``sub``, the result's ``zero`` marks the positions whose
+    columns ended zero.
 
     ``sub = (members, barcode, zero)`` names a subfiltration by the
-    positions of its simplices, closed under faces, and gives its own
+    positions of its cells, closed under faces, and gives its own
     barcode and a record of columns known to end zero in this filtration,
     such as the ``zero`` of this filtration's plain barcode.  The result
     is then the image barcode, whose ``rank(n, s, t)`` is the rank of
@@ -189,14 +197,14 @@ def staged_reduce(filtration: Sequence, index: Sequence,
         row, zero = None, bytearray(n)
     else:
         members, inner, known = sub
-        # Rows: the members at their positions, then the other simplices.
+        # Rows: the members at their positions, then the other cells.
         row = {g: g + n for g in filtration}
         row.update(zip(members, members))
         zero = bytearray(known)
 
     pairs = _reduce_columns(filtration, index, row, zero, fieldspec)
     if sub is None:
-        cycles = Counter((max(len(index[g][0]) - 1, 0), index[g][1])
+        cycles = Counter((index[g][2], index[g][1])
                          for g in filtration if g not in pairs)
     else:
         cycles = Counter((d, b) for d, bars in inner.bars.items()
@@ -205,8 +213,7 @@ def staged_reduce(filtration: Sequence, index: Sequence,
     for death in sorted(pairs):
         low = pairs[death]
         if low < n:
-            faces, birth = index[low]
-            d = max(len(faces) - 1, 0)
+            _, birth, d = index[low]
             bc.add(d, birth, index[death][1])
             cycles[d, birth] -= 1
     for (d, b), count in cycles.items():
@@ -220,12 +227,13 @@ def index_filtration(filtration: Sequence, sub=None):
 
     ``filtration`` is an ordered list of (simplex, stage) with simplices as
     vertex tuples, and ``sub``, if given, is (set of member simplices,
-    their barcode).  Returns the face index, a (faces, stage) list whose
-    whole is the filtration ``range(len(index))``, and ``sub`` with its
-    members as positions and a zero record that marks nothing.  Raises
-    HomologyError for a face that is missing or listed after its coface, a
-    duplicate or empty simplex, falling stages, or a member outside the
-    filtration.
+    their barcode).  Returns the face index, a (boundary, stage, dim) list
+    whose whole is the filtration ``range(len(index))``, each boundary
+    listing the faces in vertex-removal order with coefficient (-1)^k for
+    face k, and ``sub`` with its members as positions and a zero record
+    that marks nothing.  Raises HomologyError for a face that is missing
+    or listed after its coface, a duplicate or empty simplex, falling
+    stages, or a member outside the filtration.
     """
     position, entries = {}, []
     for s, st in filtration:
@@ -234,11 +242,11 @@ def index_filtration(filtration: Sequence, sub=None):
             raise HomologyError("the empty simplex is not a simplex")
         if entries and st < entries[-1][1]:
             raise HomologyError("stage labels must be non-decreasing")
-        faces = ()
+        boundary = ()
         if len(s) > 1:
             try:
-                faces = tuple(position[s[:k] + s[k + 1:]]
-                              for k in range(len(s)))
+                boundary = tuple((position[s[:k] + s[k + 1:]], (-1) ** k)
+                                 for k in range(len(s)))
             except KeyError as e:
                 raise HomologyError(
                     f"face {e.args[0]!r} of {s!r} missing or out of order"
@@ -246,7 +254,7 @@ def index_filtration(filtration: Sequence, sub=None):
         if s in position:
             raise HomologyError(f"duplicate simplex {s!r}")
         position[s] = len(entries)
-        entries.append((faces, st))
+        entries.append((boundary, st, len(s) - 1))
     if sub is None:
         return entries, None
     members, barcode = sub
@@ -265,6 +273,111 @@ def lower_star(simplices, stage):
     staged = sorted((max(stage[v] for v in s), len(s), s) for s in simplices)
     index, _ = index_filtration([(s, st) for st, _, s in staged])
     return [s for _, _, s in staged], index
+
+
+def _acyclic_matching(index, grade):
+    """The matching of ``morse_complex``: returns ``order``, every
+    position once, in the order the matching removes it, and ``partner``,
+    the position each cell is paired with (None: critical).
+
+    Grade classes are taken by the sum of the grade, then the grade.  In a
+    class, a cell with one facet of its grade left is paired with that
+    facet if its coefficient is +-1; when no cell is, the first cell of
+    lowest dimension left becomes critical.  Every facet of a pair's coface
+    but the pair's own has a lower grade sum or left earlier, so each
+    V-path runs backward in ``order`` and the matching is acyclic.
+    """
+    classes, cofaces, left = {}, [[] for _ in index], [0] * len(index)
+    for g, (boundary, _, _) in enumerate(index):
+        classes.setdefault(grade[g], []).append(g)
+        for f, _ in boundary:
+            if grade[f] == grade[g]:
+                cofaces[f].append(g)
+                left[g] += 1
+    order, partner, gone = [], [None] * len(index), bytearray(len(index))
+
+    def remove(g):
+        order.append(g)
+        gone[g] = 1
+        for h in cofaces[g]:
+            left[h] -= 1
+            if left[h] == 1:
+                ready.append(h)
+
+    for key in sorted(classes, key=lambda k: (sum(k), k)):
+        ready = [g for g in classes[key] if left[g] == 1]
+        for g in sorted(classes[key], key=lambda g: index[g][2]):
+            while ready:
+                h = ready.pop()
+                if gone[h] or left[h] != 1:
+                    continue
+                f, c = next((f, c) for f, c in index[h][0]
+                            if grade[f] == key and not gone[f])
+                if c in (1, -1):
+                    partner[f], partner[h] = h, f
+                    remove(f)
+                    remove(h)
+            if not gone[g]:
+                remove(g)
+    return order, partner
+
+
+def morse_complex(index, grade):
+    """The critical cells of a face index, as a face index of their own.
+
+    ``grade[g]`` is a tuple of integers for the cell at position g, at
+    most its cofaces' grades componentwise.  One acyclic matching pairs a
+    cell only with a facet of its own grade at coefficient +-1, so that
+    both lie in every downset of grades or neither does, and every V-path
+    from a cell stays below its grade.  The Morse boundary of a critical
+    cell is its boundary with each paired facet eliminated against its
+    pair's coface, in the topological order of the V-paths, as integers:
+    its faces are critical cells of lower grade.  So the critical cells of
+    any downset of grades form a filtered chain complex equivalent to the
+    downset's cells, with the same barcode and the same image barcodes
+    (Mischaikow and Nanda 2013; Scaramuccia, Iuricich, De Floriani and
+    Landi 2020).
+
+    Returns ``critical``, the positions of the critical cells in index
+    order, and their face index, each entry the (Morse boundary, stage,
+    dim) of a critical cell with boundary positions in ``critical``.
+    When the stage is a coordinate of the grade and the index is sorted by
+    stage, then dimension, as ``lower_star``'s is, this order is again a
+    filtration order.
+    """
+    order, partner = _acyclic_matching(index, grade)
+    flow = {}  # position -> {critical position: coefficient} it flows to
+    for g in order:
+        h = partner[g]
+        if h is None:
+            flow[g] = {g: 1}
+        elif index[h][2] < index[g][2]:
+            flow[g] = {}
+        else:
+            # g is the facet h's boundary meets at c = +-1, so g flows to
+            # minus c times the rest of that boundary.
+            boundary = index[h][0]
+            c = next(c for f, c in boundary if f == g)
+            flow[g] = _combine((t, -c * e * v) for f, e in boundary
+                               if f != g for t, v in flow[f].items())
+    critical = [g for g in range(len(index)) if partner[g] is None]
+    new = {g: k for k, g in enumerate(critical)}
+    morse = []
+    for g in critical:
+        boundary, stage, dim = index[g]
+        chain = _combine((t, v * c) for f, c in boundary
+                         for t, v in flow[f].items())
+        morse.append((tuple(sorted((new[t], v) for t, v in chain.items())),
+                      stage, dim))
+    return critical, morse
+
+
+def _combine(terms) -> dict:
+    """The sum of (position, coefficient) terms, without zero terms."""
+    chain = {}
+    for t, v in terms:
+        chain[t] = chain.get(t, 0) + v
+    return {t: v for t, v in chain.items() if v}
 
 
 def _staged_filtration(sub: frozenset, sup: frozenset):

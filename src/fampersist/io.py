@@ -40,16 +40,26 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_list(value, read) -> list:
+    """read(item) for each item of value, a JSON list: a string or an
+    object is not one, though it iterates."""
+    items = [read(v) for v in value]
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {value!r}")
+    return items
+
+
 def family_from_json_dict(data) -> PLFamily:
     try:
         base_data = data["base"]
         n = _json_int(base_data["vertices"])
-        simplices = [tuple(sorted(_json_int(v) for v in s))
-                     for s in base_data["simplices"]]
+        simplices = _json_list(base_data["simplices"],
+                               lambda s: _json_list(s, _json_int))
         base = SimplicialComplex.from_maximal(n, simplices)
-        times = tuple(parse_rational(t) for t in data["time_breakpoints"])
-        values = tuple(tuple(parse_rational(v) for v in row)
-                       for row in data["vertex_values"])
+        times = tuple(_json_list(data["time_breakpoints"], parse_rational))
+        values = tuple(_json_list(
+            data["vertex_values"],
+            lambda row: tuple(_json_list(row, parse_rational))))
     except (KeyError, TypeError, ValueError, ComplexError) as exc:
         raise IOFormatError(f"bad family description: {exc}") from exc
     if len(values) != len(times):

@@ -20,12 +20,16 @@ of all degrees share: the build reduces each window once and reads its dims
 as rank curves, one pass per barcode and degree, and every structure map,
 adjacent edges included, is a bar count in the barcode of its pair, which
 is reduced on first read.
-The prism's cells are listed once per build in filtration order, each with
-the positions of its faces in that list.  Every reduction reads its window's
-cells by those positions, and every image reduction clears the columns that
-ended zero in its outer window's own reduction.  The thin decomposition's
-peel check is one more image reduction, of the union of two slabs in the
-slab at their join, which is a prefix of the join's window.
+Each simplex of the prism has a grade, (tmin, tmax, stage), and every slab,
+window and union of slabs is a downset of grades.  So one Morse complex,
+built once per build from a matching that pairs simplices of one grade only,
+serves every reduction with unchanged barcodes: its critical cells are
+listed in filtration order, each with its Morse boundary as (position in
+that list, integer coefficient) pairs.  Every reduction reads its window's
+critical cells by those positions, and every image reduction clears the
+columns that ended zero in its outer window's own reduction.  The thin
+decomposition's peel check is one more image reduction, of the union of two
+slabs in the slab at their join, which is a prefix of the join's window.
 """
 
 from __future__ import annotations
@@ -88,8 +92,9 @@ class Module3:
     level_values: List[Fraction]
     dims: Dict[Point, int]
     # Never serialized, shared by one report's modules: the two lists of
-    # _lower_star_cells, and the barcodes that _barcode has reduced, of
-    # each window (w, w) by the build and of each pair (w, w') read since.
+    # _lower_star_cells over the critical cells, and the barcodes that
+    # _barcode has reduced, of each window (w, w) by the build and of each
+    # pair (w, w') read since.
     cells: list
     index: list
     bars: Dict[tuple, Barcode]
@@ -152,8 +157,8 @@ class Module3:
         return self._barcode(x[:2], y[:2]).rank(self.degree, x[2], y[2])
 
     def _slab(self, pt: Point, among=None) -> List[int]:
-        """Positions of the cells in the slab at pt, in filtration order,
-        taken from ``among`` when it is given."""
+        """Positions of the critical cells in the slab at pt, in filtration
+        order, taken from ``among`` when it is given."""
         a, b, k = pt
         cells, index = self.cells, self.index
         return [g for g in (range(len(cells)) if among is None else among)
@@ -224,21 +229,26 @@ class Module3:
 
 
 def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
-    """The prism's simplices in filtration order: by stage, then dimension,
-    then simplex.  Returns two lists over them, ``cells`` of (tmin, tmax)
-    and the face index of (faces, stage).
+    """The critical cells of the prism's Morse complex in filtration order:
+    by stage, then dimension, then simplex.  Returns two lists over them,
+    ``cells`` of (tmin, tmax) and the face index of (boundary, stage, dim).
 
-    tmin and tmax are the simplex's first and last time index, and stage is
+    tmin and tmax are a simplex's first and last time index, and stage is
     the index in ``levels``, the prism's grid, of its top vertex value, so
     the slab at (i, j, k) holds exactly the simplices with i <= tmin,
-    tmax <= j and stage <= k.  ``faces`` holds the positions in these lists
-    of the codimension-1 faces, in vertex-removal order (face k has sign
-    (-1)^k), and is empty for a vertex: every window's reduction reads its
-    cells by position in this index.
+    tmax <= j and stage <= k: every slab, window, union of slabs and their
+    pairs is a downset of these grades.  ``homology.morse_complex`` pairs
+    simplices of one grade only, so each of those keeps its barcode on the
+    critical cells it holds, found by the same three tests.  A boundary
+    holds (position in these lists, integer coefficient) pairs, and every
+    reduction reads its cells by position in this index.
     """
     stage = {v: bisect_left(levels, x) for v, x in p.vertex_level.items()}
     order, index = homology.lower_star(p.simplices, stage)
-    return [(s[0][0], s[-1][0]) for s in order], index
+    cells = [(s[0][0], s[-1][0]) for s in order]
+    critical, morse = homology.morse_complex(
+        index, [(-a, b, st) for (a, b), (_, st, _) in zip(cells, index)])
+    return [cells[g] for g in critical], morse
 
 
 def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec):

@@ -160,6 +160,29 @@ class TestModuleCommand:
         assert code == 2 and out == ""
         assert "bad family description: expected an integer" in err
 
+    @pytest.mark.parametrize("times, values, simplices", [
+        ("01", ["01", "10"], [[0, 1]]),
+        ({"0": 1, "1": 0}, [{"0": 1, "1": 0}, {"1": 0, "0": 1}], [[0, 1]]),
+        (["0", "1"], ["01", "10"], [[0, 1]]),
+        (["0", "1"], {"01": 0, "10": 1}, [[0, 1]]),
+        (["0", "1"], [["0", "1"], ["1", "0"]], {}),
+        (["0", "1"], [["0", "1"], ["1", "0"]], [[0, 1], ""]),
+    ], ids=["string", "object", "string-rows", "object-rows",
+            "object-simplices", "empty-string-simplex"])
+    def test_non_list_rejected(self, capsys, tmp_path, times, values,
+                               simplices):
+        """Strings and objects iterate, but are no JSON lists."""
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({
+            "base": {"vertices": 2, "simplices": simplices},
+            "time_breakpoints": times,
+            "vertex_values": values,
+        }))
+        code, out, err = run(capsys, "module", "--family", str(path),
+                             "--format", "csv")
+        assert code == 2 and out == ""
+        assert "bad family description: expected a list" in err
+
 
 class TestBadRationals:
     @pytest.mark.parametrize("argv", [

@@ -10,16 +10,25 @@ two windows, answered from the image barcode of the window pair.  The
 module's grid is the prism's, and it is complete: at any level c, off the
 grid too, a slab is the one at the highest grid level <= c.  No module
 computation may build a slab.
+
+The module reduces the critical cells of one Morse complex of the prism.
+``SimplicialReference`` reduces the prism's simplices themselves, from
+``homology.lower_star``; every window barcode and every image barcode of
+a nested pair must have the same bars of positive length, and
+``_joint_rank`` the same value on seeded pairs of points; the matching
+must pair cells of one grade at incidence +-1 without a closed V-path.
 """
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from fampersist.family import (PLFamily, cylinder_family, hat_family,
                                wrinkled_cylinder_family, zigzag_family)
+from fampersist import homology, module3
 from fampersist.homology import FieldSpec, betti, induced_rank
 from fampersist.module3 import (_join, _joint_rank, _leq, _top_point,
                                 _zigzag_components, betti_report,
@@ -255,3 +264,141 @@ def test_module_computations_build_no_slab(monkeypatch):
     assert check_interleaving_necessary(mod, build_module(prism, 0),
                                         F(1, 4)).overall
     assert all(check.passed for check in run_suite())
+
+
+class SimplicialReference:
+    """The prism's simplices in lower-star order, reduced as they are: the
+    face index, grades and slabs that the module reads from its critical
+    cells."""
+
+    def __init__(self, prism):
+        self.levels = prism.level_values()
+        stage = {v: bisect_left(self.levels, x)
+                 for v, x in prism.vertex_level.items()}
+        order, self.index = homology.lower_star(prism.simplices, stage)
+        self.grade = [(-s[0][0], s[-1][0], entry[1])
+                      for s, entry in zip(order, self.index)]
+
+    def slab(self, pt):
+        a, b, k = pt
+        return [g for g, (ta, tb, st) in enumerate(self.grade)
+                if a <= -ta and tb <= b and st <= k]
+
+    def barcode(self, w, wp, fieldspec):
+        top = len(self.levels) - 1
+        window = self.slab((*wp, top))
+        sub = None
+        if w != wp:
+            members = self.slab((*w, top))
+            sub = (members, homology.staged_reduce(members, self.index,
+                                                   fieldspec),
+                   bytes(len(self.index)))
+        return homology.staged_reduce(window, self.index, fieldspec, sub=sub)
+
+    def joint_rank(self, x, xp, y, degree, fieldspec):
+        members = sorted({*self.slab(x), *self.slab(xp)})
+        inner = homology.staged_reduce(members, self.index, fieldspec)
+        image = homology.staged_reduce(
+            self.slab(y), self.index, fieldspec,
+            sub=(members, inner, bytes(len(self.index))))
+        return image.rank(degree, y[2], y[2])
+
+
+def positive_bars(bc):
+    """Bars per degree that some rank(n, s, t), s <= t, counts: the
+    essential ones and those that die after they are born."""
+    out = {d: Counter(bar for bar in bars if bar[1] is None or bar[1] > bar[0])
+           for d, bars in bc.bars.items()}
+    return {d: bars for d, bars in out.items() if bars}
+
+
+@pytest.mark.parametrize("fam", families() + higher_degree_families())
+def test_morse_engine_matches_simplicial_reference(fam):
+    prism = fam.to_prism()
+    ref = SimplicialReference(prism)
+    rng = random.Random(5)
+    for fieldspec in (FieldSpec(2), FieldSpec(3)):
+        mods = betti_report(prism, 2, fieldspec).modules
+        mod = mods[0]
+        windows = mod.windows()
+        for w in windows:
+            for wp in windows:
+                if wp[0] <= w[0] and w[1] <= wp[1]:
+                    assert positive_bars(mod._barcode(w, wp)) == \
+                        positive_bars(ref.barcode(w, wp, fieldspec)), \
+                        (w, wp, fieldspec)
+        points = list(mod.points())
+        for _ in range(8):
+            x, xp = rng.sample(points, 2)
+            for y in (_join(x, xp), _top_point(mod)):
+                for degree, m in mods.items():
+                    assert _joint_rank(m, x, xp, y) == ref.joint_rank(
+                        x, xp, y, degree, fieldspec), (x, xp, y, degree)
+
+
+def has_closed_v_path(index, partner):
+    """Depth-first search of the face graph with each pair reversed: a
+    cell points to its facets, and a paired facet to its coface only."""
+    n = len(index)
+    succ = [[] for _ in range(n)]
+    for h, (boundary, _, _) in enumerate(index):
+        for f, _ in boundary:
+            if partner[f] == h:
+                succ[f].append(h)
+            else:
+                succ[h].append(f)
+    state = [0] * n  # 0 new, 1 on the stack, 2 done
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            g, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                state[g] = 2
+                stack.pop()
+            elif state[nxt] == 1:
+                return True
+            elif not state[nxt]:
+                state[nxt] = 1
+                stack.append((nxt, iter(succ[nxt])))
+    return False
+
+
+@pytest.mark.parametrize("fam", families() + higher_degree_families())
+def test_matching_pairs_one_grade_without_closed_paths(fam):
+    ref = SimplicialReference(fam.to_prism())
+    index, grade = ref.index, ref.grade
+    order, partner = homology._acyclic_matching(index, grade)
+    assert sorted(order) == list(range(len(index)))
+    for g, h in enumerate(partner):
+        if h is None or index[h][2] < index[g][2]:
+            continue
+        assert partner[h] == g and grade[g] == grade[h]
+        assert [c for f, c in index[h][0] if f == g] in ([1], [-1])
+    assert not has_closed_v_path(index, partner)
+    critical, morse = homology.morse_complex(index, grade)
+    assert critical == [g for g, h in enumerate(partner) if h is None]
+    for k, (boundary, stage, dim) in enumerate(morse):
+        g = critical[k]
+        assert (stage, dim) == index[g][1:]
+        for f, _ in boundary:
+            assert f < k and all(a <= b for a, b in
+                                 zip(grade[critical[f]], grade[g]))
+
+
+@pytest.mark.parametrize("fam", [hat_family(4), zigzag_family(3)],
+                         ids=["hat", "zigzag:3"])
+def test_point_families_keep_every_cell_critical(fam):
+    prism = fam.to_prism()
+    cells, index = module3._lower_star_cells(prism, prism.level_values())
+    assert len(index) == len(cells) == len(prism.simplices)
+
+
+def test_wrinkled_cylinder_reduces_to_few_critical_cells():
+    prism = wrinkled_cylinder_family(subdiv=8).to_prism()
+    cells, index = module3._lower_star_cells(prism, prism.level_values())
+    assert len(prism.simplices) == 208
+    assert len(cells) == len(index) <= 26

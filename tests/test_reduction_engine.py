@@ -7,7 +7,9 @@ reduces by dimension and starts an image reduction from the zero columns
 of the whole filtration's plain reduction, which must leave every bar, and
 the order of the bars, unchanged: plain and image barcodes, tied and
 strictly increasing stages, members that are no prefix of the filtration,
-GF(2), GF(3), GF(5).
+GF(2), GF(3), GF(5).  A hand-written cell complex, with coefficient 2 and
+a loop of empty boundary, checks the coefficients that only Morse
+boundaries carry.
 """
 
 from collections import Counter
@@ -228,3 +230,34 @@ def test_no_clearing_on_a_non_member_pivot():
             [(s, st) for s, st in filtration if s in members], fieldspec)
         image = engine_reduce(filtration, fieldspec, sub=(members, inner))
         assert image.bars == {0: [(1, 3), (2, 4), (0, None)]}
+
+
+# A cell complex no simplicial index gives: vertices v, w; a loop e with
+# empty boundary; a disc f glued twice along e (the projective plane); an
+# edge a from v to w with coefficients -2 and 2.
+PROJECTIVE_PLANE = [((), 0, 0), ((), 0, 0), ((), 0, 1),
+                    (((2, 2),), 1, 2), (((0, -2), (1, 2)), 2, 1)]
+
+
+@pytest.mark.parametrize("p, bars, zero", [
+    (2, {0: [(0, None), (0, None)], 1: [(0, None), (2, None)],
+         2: [(1, None)]}, b"\1\1\1\1\1"),
+    (3, {1: [(0, 1)], 0: [(0, 2), (0, None)]}, b"\1\1\1\0\0"),
+    (5, {1: [(0, 1)], 0: [(0, 2), (0, None)]}, b"\1\1\1\0\0"),
+])
+def test_coefficients_are_read_mod_p(p, bars, zero):
+    """In GF(2) every coefficient 2 vanishes, so f is a 2-cycle and a a
+    1-cycle; in GF(3) and GF(5), f kills e and a joins w to v."""
+    fieldspec = FieldSpec(p)
+    whole = range(len(PROJECTIVE_PLANE))
+    bc = staged_reduce(whole, PROJECTIVE_PLANE, fieldspec)
+    assert bc.bars == bars and bc.zero == zero
+    # The image of the 1-skeleton without a: H_1(sub at 0) -> H_1(whole
+    # at 1) is onto in GF(2) only, and H_0 keeps both classes to stage 2
+    # in GF(2) only.
+    members = [0, 1, 2]
+    inner = staged_reduce(members, PROJECTIVE_PLANE, fieldspec)
+    image = staged_reduce(whole, PROJECTIVE_PLANE, fieldspec,
+                          sub=(members, inner, bc.zero))
+    assert image.rank(1, 0, 1) == (p == 2)
+    assert image.rank(0, 0, 2) == 1 + (p == 2)
