@@ -13,9 +13,10 @@ import sys
 from fractions import Fraction
 
 from .cerf import CerfError, trace_cerf
-from .family import (FamilyError, KernelSpec, PLFamily, cylinder_family,
-                     hat_family, kde_family, nw_regression_family,
-                     wrinkled_cylinder_family, zigzag_family)
+from .family import (KERNELS, FamilyError, KernelSpec, PLFamily,
+                     cylinder_family, hat_family, kde_family,
+                     nw_regression_family, wrinkled_cylinder_family,
+                     zigzag_family)
 from .homology import FieldSpec, HomologyError
 from .io import (IOFormatError, dump_json, family_to_json_dict, load_family,
                  load_samples, write_text)
@@ -254,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
              "kernel regression family from 2-column CSV")):
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--data", required=True, help="CSV sample file")
-        p.add_argument("--kernel", default="gaussian",
-                       choices=("gaussian", "epanechnikov", "triangular"))
+        p.add_argument("--kernel", default="gaussian", choices=KERNELS)
         p.add_argument("--bandwidth", required=True,
                        help="bandwidth range amin:amax")
         p.add_argument("--box", help="domain interval xmin:xmax")

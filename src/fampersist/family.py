@@ -18,6 +18,7 @@ from .simplicial import PrismComplex, SimplicialComplex, build_prism
 NW_DENOMINATOR_GUARD = Fraction(1, 10**12)
 # The height range of wrinkled_cylinder_family away from its wrinkle.
 WRINKLED_HEIGHTS = (Fraction(0), Fraction(4))
+KERNELS = ("gaussian", "epanechnikov", "triangular")
 
 
 class FamilyError(ValueError):
@@ -65,7 +66,7 @@ class KernelSpec:
     kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "epanechnikov", "triangular"):
+        if self.kind not in KERNELS:
             raise FamilyError(f"unknown kernel {self.kind!r}")
 
     def evaluate(self, u: float) -> float:

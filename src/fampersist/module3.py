@@ -140,20 +140,15 @@ class Module3:
     def rank(self, x: Point, y: Point) -> int:
         """Rank of the structure map x -> y between grid points.
 
-        Identities and maps with a zero end are read from the dims.  Every
-        other map, an adjacent edge or a longer one, is a bar count in the
-        barcode of its window pair, reduced on first read and kept for the
-        next map between the same two windows.  Composing edge ranks would
-        only bound these from above.
+        Every map, an identity, an adjacent edge or a longer one, is a bar
+        count in the barcode of its window pair, reduced on first read and
+        kept for the next map between the same two windows.  Composing
+        edge ranks would only bound these from above.
         """
         self._check_point(x)
         self._check_point(y)
         if not _leq(x, y):
             raise ModuleError(f"{x} is not below {y}")
-        if x == y:
-            return self.dim(x)
-        if not self.dim(x) or not self.dim(y):
-            return 0
         return self._barcode(x[:2], y[:2]).rank(self.degree, x[2], y[2])
 
     def _slab(self, pt: Point, among=None) -> List[int]:
@@ -189,20 +184,16 @@ class Module3:
         """The dims over the grid and the positive adjacent-edge ranks,
         sorted.  Edges are rank curves: shift 1 over each window's barcode
         for its level edges, shift 0 over the barcode of each widening
-        (w, w') for its window edges.  A widening's barcode is read, and so
-        reduced if no query has read it yet, only when some level has
-        support at both ends in this degree; elsewhere every rank is 0."""
+        (w, w') in the grid for its window edges, reduced on first read."""
         nt, nl = len(self.time_values), len(self.level_values)
         dims = [[[self.dim((i, j, k)) for k in range(nl)]
                  if i <= j else None
                  for j in range(nt)] for i in range(nt)]
         edges = []
         for w in self.windows():
-            # A widening out of the grid has no support.
             for wp in (w, (w[0] - 1, w[1]), (w[0], w[1] + 1)):
-                up = int(w == wp)
-                if up or any(self.dim(w + (k,)) and self.dim(wp + (k,))
-                             for k in range(nl)):
+                if wp[0] >= 0 and wp[1] < nt:
+                    up = int(w == wp)
                     curve = self._barcode(w, wp).rank_curve(
                         self.degree, nl - up, up)
                     edges += ([[*w, k], [*wp, k + up], r]
@@ -410,11 +401,11 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
     support = mod.support()
     if not support:
         return []
-    max_dim = max(mod.dims.values())
+    worst = max(support, key=mod.dim)
+    max_dim = mod.dim(worst)
     if max_dim > 2:
-        worst = max(support, key=lambda p: mod.dims[p])
         raise ThinRefusal(
-            f"no thin decomposition: dimension {mod.dims[worst]} at grid "
+            f"no thin decomposition: dimension {max_dim} at grid "
             f"point {worst}", witness=worst)
 
     peel = set()
@@ -436,7 +427,7 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
                         "no thin decomposition: the classes at grid points "
                         f"{x} and {xp} stay independent at {y}",
                         witness=(x, xp, y))
-    residual_dims = {x: mod.dims[x] - (x in peel) for x in support}
+    residual_dims = {x: mod.dim(x) - (x in peel) for x in support}
     residual = {x for x, d in residual_dims.items() if d >= 1}
     if any(d > 1 for d in residual_dims.values()):
         worst = max(residual, key=lambda p: residual_dims[p])

@@ -13,12 +13,16 @@ SAMPLE = "-1.5\n-1\n-0.25\n0.25\n0.5\n1\n1.5\n2.25\n"
 GOLDEN = [
     (("module", "--example", "hat"), 0,
      "4dbf97323f71d3e307ece58afcc797f1c6e5ff24822f814c2d1e44954fe9af21"),
+    (("module", "--example", "hat", "--degree", "1"), 0,
+     "aa7f5c6e544e8d621097c32d5220f21e40cc266cf7780fd00d2b62f2d66a3a05"),
     (("module", "--example", "hat", "--format", "csv"), 0,
      "f1eda544fafb9f3ce54c928b7ea6a7fb8c378b6f4bc804fd97781a6f16b21eeb"),
     (("module", "--example", "zigzag:3", "--max-degree", "1"), 0,
      "de822fda41b88d13c176a7d6a891278d6eb01e289a71c557d7b29f1a62ba3439"),
     (("module", "--example", "cylinder:6", "--degree", "1", "--field", "3"),
      0, "3e816ad3be56501c95d0ce83c2afb6e79180e82d495e878e69ba3322ee984cea"),
+    (("module", "--example", "wrinkled-cylinder", "--degree", "2"), 0,
+     "c3d7faa0ca63a4d2fffd22349d4138b3239f8931acf89dd8c82eaaa3dfc7b8e6"),
     (("module", "--example", "wrinkled-cylinder", "--max-degree", "2",
       "--field", "3"), 0,
      "38d4415aefae90316e64fb3c6163f95cb7f51a592410b4c88960fdb8b12591ad"),

@@ -2,14 +2,18 @@
 ``io`` writes JSON.
 
 No linter is installed, so this parses each module with ``ast``.  An import
-kept on purpose, such as one the benchmark tracer wraps by name, carries
-``# noqa: F401`` on its line.  Names in quoted annotations count as used.
+kept unused on purpose carries ``# noqa: F401`` on its line, and must be
+one that the benchmark tracer wraps by name: an entry of
+``perfbench/tracer.py``'s ``WRAPS`` with the same module and attribute.
+Names in quoted annotations count as used.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from test_tracer_wraps import load_tracer
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fampersist"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -41,9 +45,27 @@ def unused_imports(source):
                   if name not in used)
 
 
+def kept_imports(source):
+    """(line, name) of each name imported on a line marked ``# noqa: F401``."""
+    lines = source.splitlines()
+    return sorted((node.lineno, alias.asname or alias.name.split(".")[0])
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and "# noqa: F401" in lines[node.lineno - 1]
+                  for alias in node.names)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_kept_imports_are_traced(path):
+    traced = {(module, attr) for module, attr, _ in load_tracer().WRAPS}
+    owner = f"fampersist.{path.stem}"
+    assert [(line, name) for line, name in kept_imports(path.read_text())
+            if (owner, name) not in traced] == []
 
 
 def test_detects_unused_and_honours_noqa():
@@ -54,6 +76,7 @@ def test_detects_unused_and_honours_noqa():
               "def f(x: \"d\", y: \"List[int]\") -> \"e\":\n"
               "    return c\n")
     assert unused_imports(source) == [(2, "os")]
+    assert kept_imports(source) == [(3, "sys")]
 
 
 def json_writers(source):

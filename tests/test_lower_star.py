@@ -3,12 +3,13 @@
 ``reference_module`` is the earlier build_module: one slab per grid point,
 its Betti number from ``betti`` and every adjacent edge from
 ``induced_rank`` on the two slabs.  The engine must give exactly the same
-dims, and the same edge ranks in its JSON and from ``Module3.rank``; every
-rank between two levels of one window, answered from the window's barcode,
-must equal ``induced_rank`` on the two slabs; so must every rank between
-two windows, answered from the image barcode of the window pair.  The
-module's grid is the prism's, and it is complete: at any level c, off the
-grid too, a slab is the one at the highest grid level <= c.  No module
+dims, and the same edge ranks in its JSON and from ``Module3.rank``; the
+rank of every identity must be the dim; every rank between two levels of
+one window, answered from the window's barcode, must equal
+``induced_rank`` on the two slabs; so must every rank between two windows,
+answered from the image barcode of the window pair, a zero end included.
+The module's grid is the prism's, and it is complete: at any level c, off
+the grid too, a slab is the one at the highest grid level <= c.  No module
 computation may build a slab.
 
 The module reduces the critical cells of one Morse complex of the prism.
@@ -104,9 +105,11 @@ def test_engine_matches_per_point_reference(fam):
                 for y in mod.neighbors_up(x):
                     assert mod.rank(x, y) == edges.get((x, y), 0), (x, y)
             ranks = {}
+            top = _top_point(mod)
             for x in mod.points():
-                for k in range(x[2] + 2, len(mod.level_values)):
-                    y = x[:2] + (k,)
+                assert mod.rank(x, x) == dims.get(x, 0), x
+                ys = [x[:2] + (k,) for k in range(x[2] + 2, top[2] + 1)]
+                for y in ys + [top[:2] + x[2:], top]:
                     key = (slabs[x], slabs[y])
                     if key not in ranks:
                         ranks[key] = induced_rank(*key, degree, fieldspec)
