@@ -6,9 +6,9 @@ an inclusion-induced map counts the essential bars born in the
 subcomplex, and a Betti number is the rank of the identity map.  Two
 queries count bars: ``Barcode.rank`` those alive from one stage to a later
 one (in an image barcode, from a subfiltration's stage to the whole's),
-and ``Barcode.rank_curve`` those alive from every stage to the stage a
-fixed shift later, in one pass.  Coefficients stay integers mod p
-throughout, so results are exact.
+and ``Barcode.rank_curve`` those alive from each stage of one list to
+the stage at the same entry of another, in one pass.  Coefficients stay
+integers mod p throughout, so results are exact.
 
 The reduction reads integers only.  A face index lists cells in
 filtration order, each as its boundary, a tuple of (position in the
@@ -35,6 +35,7 @@ reduces to zero does not depend on the order of the rows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -89,16 +90,20 @@ class Barcode:
         return sum(1 for b, d in self.bars.get(degree, ())
                    if b <= s and (d is None or d > t))
 
-    def rank_curve(self, degree: int, n_stages: int, shift: int) -> list:
-        """[rank(degree, s, s + shift) for s in range(n_stages)] from one
-        pass: a bar (b, d) counts for b <= s < min(d - shift, n_stages)."""
-        change = [0] * (n_stages + 1)
+    def rank_curve(self, degree: int, src: Sequence, dst: Sequence) -> list:
+        """[rank(degree, s, t) for s, t in zip(src, dst)] from one pass, for
+        two stage lists of one length that do not decrease: a bar (b, d)
+        counts from entry bisect_left(src, b) up to entry bisect_left(dst,
+        d), or to the end when d is None.  A stage below every birth, such
+        as -1, counts no bar."""
+        change = [0] * (len(src) + 1)
         for b, d in self.bars.get(degree, ()):
-            end = n_stages if d is None else min(d - shift, n_stages)
-            if b < end:
-                change[b] += 1
+            start = bisect_left(src, b)
+            end = len(dst) if d is None else bisect_left(dst, d)
+            if start < end:
+                change[start] += 1
                 change[end] -= 1
-        return list(accumulate(change[:n_stages]))
+        return list(accumulate(change[:-1]))
 
 
 def _reduce_columns(filtration, index, row, zero: bytearray,
@@ -222,18 +227,15 @@ def staged_reduce(filtration: Sequence, index: Sequence,
     return bc
 
 
-def index_filtration(filtration: Sequence, sub=None):
+def index_filtration(filtration: Sequence) -> list:
     """``staged_reduce`` input for a filtration of simplices.
 
     ``filtration`` is an ordered list of (simplex, stage) with simplices as
-    vertex tuples, and ``sub``, if given, is (set of member simplices,
-    their barcode).  Returns the face index, a (boundary, stage, dim) list
+    vertex tuples.  Returns the face index, a (boundary, stage, dim) list
     whose whole is the filtration ``range(len(index))``, each boundary
     listing the faces in vertex-removal order with coefficient (-1)^k for
-    face k, and ``sub`` with its members as positions and a zero record
-    that marks nothing.  Raises HomologyError for a face that is missing
-    or listed after its coface, a duplicate or empty simplex, falling
-    stages, or a member outside the filtration.
+    face k.  Raises HomologyError for a face that is missing or listed
+    after its coface, a duplicate or empty simplex, or falling stages.
     """
     position, entries = {}, []
     for s, st in filtration:
@@ -255,14 +257,7 @@ def index_filtration(filtration: Sequence, sub=None):
             raise HomologyError(f"duplicate simplex {s!r}")
         position[s] = len(entries)
         entries.append((boundary, st, len(s) - 1))
-    if sub is None:
-        return entries, None
-    members, barcode = sub
-    try:
-        rows = sorted({position[tuple(s)] for s in members})
-    except KeyError:
-        raise HomologyError("sub must be part of the filtration") from None
-    return entries, (rows, barcode, bytes(len(entries)))
+    return entries
 
 
 def lower_star(simplices, stage):
@@ -271,7 +266,7 @@ def lower_star(simplices, stage):
     the simplices sorted by (stage, dimension, simplex) and their face
     index from ``index_filtration``."""
     staged = sorted((max(stage[v] for v in s), len(s), s) for s in simplices)
-    index, _ = index_filtration([(s, st) for st, _, s in staged])
+    index = index_filtration([(s, st) for st, _, s in staged])
     return [s for _, _, s in staged], index
 
 
@@ -396,7 +391,7 @@ def induced_rank(sub: frozenset, sup: frozenset, j: int,
     """
     if not sub <= sup:
         raise HomologyError("sub must be contained in sup")
-    entries, _ = index_filtration(_staged_filtration(sub, sup))
+    entries = index_filtration(_staged_filtration(sub, sup))
     bc = staged_reduce(range(len(entries)), entries, fieldspec)
     return bc.rank(j, 0, 1)
 

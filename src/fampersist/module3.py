@@ -93,7 +93,7 @@ class Module3:
     dims: Dict[Point, int]
     # Never serialized, shared by one report's modules: the two lists of
     # _lower_star_cells over the critical cells, and the barcodes that
-    # _barcode has reduced, of each window (w, w) by the build and of each
+    # barcode has reduced, of each window (w, w) by the build and of each
     # pair (w, w') read since.
     cells: list
     index: list
@@ -149,7 +149,7 @@ class Module3:
         self._check_point(y)
         if not _leq(x, y):
             raise ModuleError(f"{x} is not below {y}")
-        return self._barcode(x[:2], y[:2]).rank(self.degree, x[2], y[2])
+        return self.barcode(x[:2], y[:2]).rank(self.degree, x[2], y[2])
 
     def _slab(self, pt: Point, among=None) -> List[int]:
         """Positions of the critical cells in the slab at pt, in filtration
@@ -159,7 +159,7 @@ class Module3:
         return [g for g in (range(len(cells)) if among is None else among)
                 if a <= cells[g][0] and cells[g][1] <= b and index[g][1] <= k]
 
-    def _barcode(self, w, wp) -> Barcode:
+    def barcode(self, w, wp) -> Barcode:
         """Barcode whose rank(n, s, t) is the rank of H_n(slab(w, s)) ->
         H_n(slab(wp, t)) for a window w inside wp, reduced on first use and
         kept in ``bars``: wp's own for w == wp, else the image barcode of w,
@@ -169,8 +169,8 @@ class Module3:
             window = self._slab((*wp, top))
             sub = None
             if w != wp:
-                sub = (self._slab((*w, top), window), self._barcode(w, w),
-                       self._barcode(wp, wp).zero)
+                sub = (self._slab((*w, top), window), self.barcode(w, w),
+                       self.barcode(wp, wp).zero)
             self.bars[w, wp] = homology.staged_reduce(
                 window, self.index, self.fieldspec, sub=sub)
         return self.bars[w, wp]
@@ -182,10 +182,12 @@ class Module3:
 
     def to_json_dict(self):
         """The dims over the grid and the positive adjacent-edge ranks,
-        sorted.  Edges are rank curves: shift 1 over each window's barcode
-        for its level edges, shift 0 over the barcode of each widening
-        (w, w') in the grid for its window edges, reduced on first read."""
+        sorted.  Edges are rank curves: from each level to the next over
+        each window's barcode for its level edges, from each level to
+        itself over the barcode of each widening (w, w') in the grid for
+        its window edges, reduced on first read."""
         nt, nl = len(self.time_values), len(self.level_values)
+        stages = list(range(nl))
         dims = [[[self.dim((i, j, k)) for k in range(nl)]
                  if i <= j else None
                  for j in range(nt)] for i in range(nt)]
@@ -194,8 +196,8 @@ class Module3:
             for wp in (w, (w[0] - 1, w[1]), (w[0], w[1] + 1)):
                 if wp[0] >= 0 and wp[1] < nt:
                     up = int(w == wp)
-                    curve = self._barcode(w, wp).rank_curve(
-                        self.degree, nl - up, up)
+                    curve = self.barcode(w, wp).rank_curve(
+                        self.degree, stages[:nl - up], stages[up:])
                     edges += ([[*w, k], [*wp, k + up], r]
                               for k, r in enumerate(curve) if r)
         edges.sort()
@@ -252,10 +254,11 @@ def _build_modules(p: PrismComplex, degrees, fieldspec: FieldSpec):
     mods = [Module3(degree=d, fieldspec=fieldspec, time_values=times,
                     level_values=levels, dims={},
                     cells=cells, index=index, bars=bars) for d in degrees]
+    stages = list(range(len(levels)))
     for w in mods[0].windows():
-        bc = mods[0]._barcode(w, w)
+        bc = mods[0].barcode(w, w)
         for mod in mods:
-            for k, d in enumerate(bc.rank_curve(mod.degree, len(levels), 0)):
+            for k, d in enumerate(bc.rank_curve(mod.degree, stages, stages)):
                 if d:
                     mod.dims[w + (k,)] = d
     return mods
@@ -371,7 +374,7 @@ def _joint_rank(mod: Module3, x: Point, xp: Point, y: Point) -> int:
     inner = homology.staged_reduce(members, mod.index, mod.fieldspec)
     image = homology.staged_reduce(
         whole, mod.index, mod.fieldspec,
-        sub=(members, inner, mod._barcode(y[:2], y[:2]).zero))
+        sub=(members, inner, mod.barcode(y[:2], y[:2]).zero))
     return image.rank(mod.degree, y[2], y[2])
 
 

@@ -91,7 +91,9 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
     not lie on a grid: each module answers at the index
     bisect_right(level_values, c) - 1 of the highest grid level <= c, which
     has the same slab, since the grid holds every vertex value of the
-    module's prism (index -1 is the empty slab, of dim and rank 0).
+    module's prism (index -1 is the empty slab, below every birth).  The
+    ranks of one window and direction are one rank curve of the source's
+    window barcode, from the indices of c to those of c + 2*epsilon.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -117,14 +119,12 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
                   for name, src, dst in (("f_to_g", mf, mg),
                                          ("g_to_f", mg, mf))]
     checks = []
-    for i in range(len(times)):
-        for j in range(i, len(times)):
-            for n, c in enumerate(levels):
-                for name, src, dst, lo, hi, mid in directions:
-                    lhs = (src.rank((i, j, lo[n]), (i, j, hi[n]))
-                           if lo[n] >= 0 else 0)
-                    rhs = dst.dim((i, j, mid[n]))
-                    checks.append(ShiftCheck(
-                        point=(times[i], times[j], c),
-                        direction=name, lhs_rank=lhs, rhs_dim=rhs))
+    for w in mf.windows():
+        curves = [(name, src.barcode(w, w).rank_curve(src.degree, lo, hi),
+                   dst, mid) for name, src, dst, lo, hi, mid in directions]
+        for n, c in enumerate(levels):
+            for name, lhs, dst, mid in curves:
+                checks.append(ShiftCheck(
+                    point=(times[w[0]], times[w[1]], c), direction=name,
+                    lhs_rank=lhs[n], rhs_dim=dst.dim((*w, mid[n]))))
     return PerturbationReport(epsilon=epsilon, degree=mf.degree, checks=checks)

@@ -41,6 +41,11 @@ GOLDEN = [
     (("stability", "--example", "hat", "--example2", "zigzag:2",
       "--epsilon", "1/2"), 1,
      "da0f72e331345b93368c4660add5cbeaf590a4d381d99b3f85b9ef869ebf9ef3"),
+    (("stability", "--example", "cylinder:6", "--example2", "cylinder:8",
+      "--degree", "1", "--epsilon", "1/4"), 0,
+     "012e38281fe121966d0f85717ef5f3f3fd5ed5427a6d22d439a9d9ae6798c89a"),
+    (("stability", "--example", "zigzag:2", "--example2", "hat"), 0,
+     "b3f847733332baabaa419163c706d920be1875838ea12bb23563d56b0336d525"),
     (("cerf", "--example", "wrinkled-cylinder", "--format", "json"), 0,
      "6a30bbc8cb957b8ba2a60d5f70200371d8d3eb54f0a872857bcef434f23adf18"),
     (("cerf", "--example", "hat"), 0,

@@ -327,7 +327,7 @@ def test_morse_engine_matches_simplicial_reference(fam):
         for w in windows:
             for wp in windows:
                 if wp[0] <= w[0] and w[1] <= wp[1]:
-                    assert positive_bars(mod._barcode(w, wp)) == \
+                    assert positive_bars(mod.barcode(w, wp)) == \
                         positive_bars(ref.barcode(w, wp, fieldspec)), \
                         (w, wp, fieldspec)
         points = list(mod.points())

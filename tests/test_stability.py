@@ -8,7 +8,7 @@ from fampersist.family import (FamilyError, PLFamily, hat_family,
                                point_family, wrinkled_cylinder_family,
                                zigzag_family)
 from fampersist.homology import betti, induced_rank
-from fampersist.module3 import build_module
+from fampersist.module3 import Module3, build_module
 from fampersist.simplicial import SimplicialComplex, slab_sublevel
 from fampersist.stability import (PerturbationReport, ShiftCheck,
                                   check_interleaving_necessary, sup_distance)
@@ -184,3 +184,18 @@ class TestModuleQueriesMatchSlabs:
                 want = reference_report(pf, pg, mf, mg, eps)
                 assert got.to_json_dict() == want.to_json_dict(), (
                     degree, eps)
+
+    @pytest.mark.parametrize("degree", (0, 1))
+    def test_check_reads_curves_not_points(self, monkeypatch, degree):
+        """The check reads one rank curve per window and direction from the
+        window barcodes the build reduced: no point query."""
+        f, g = next(p.values for p in differential_pairs()
+                    if p.id == "wrinkled")
+        mf = build_module(f.to_prism(), degree)
+        mg = build_module(g.to_prism(), degree)
+
+        def point_query(*args):
+            raise AssertionError("check_interleaving_necessary read a point")
+
+        monkeypatch.setattr(Module3, "rank", point_query)
+        assert check_interleaving_necessary(mf, mg, sup_distance(f, g)).overall
