@@ -18,7 +18,15 @@ from .simplicial import PrismComplex, SimplicialComplex, build_prism
 NW_DENOMINATOR_GUARD = Fraction(1, 10**12)
 # The height range of wrinkled_cylinder_family away from its wrinkle.
 WRINKLED_HEIGHTS = (Fraction(0), Fraction(4))
-KERNELS = ("gaussian", "epanechnikov", "triangular")
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Each kernel as a function of u, by name, in the order of --kernel's
+# choices.
+_EVALUATORS = {
+    "gaussian": lambda u: math.exp(-u * u / 2.0) / _SQRT_2PI,
+    "epanechnikov": lambda u: 0.75 * (1.0 - u * u) if abs(u) <= 1.0 else 0.0,
+    "triangular": lambda u: max(1.0 - abs(u), 0.0),
+}
+KERNELS = tuple(_EVALUATORS)
 
 
 class FamilyError(ValueError):
@@ -70,11 +78,7 @@ class KernelSpec:
             raise FamilyError(f"unknown kernel {self.kind!r}")
 
     def evaluate(self, u: float) -> float:
-        if self.kind == "gaussian":
-            return math.exp(-u * u / 2.0) / math.sqrt(2.0 * math.pi)
-        if self.kind == "epanechnikov":
-            return 0.75 * (1.0 - u * u) if abs(u) <= 1.0 else 0.0
-        return max(1.0 - abs(u), 0.0)  # triangular
+        return _EVALUATORS[self.kind](u)
 
 
 def point_family(g: Sequence) -> PLFamily:
@@ -251,12 +255,13 @@ def kde_family(samples: Sequence[float], kernel: KernelSpec,
     bws = _bandwidths(bandwidth_range, t_res)
     xs = _x_grid(samples, domain_box, bws[-1][1], x_res)
     n = len(samples)
+    evaluate = _EVALUATORS[kernel.kind]
     rows = []
     for _, alpha in bws:
         a = float(alpha)
         row = []
         for xf in xs:
-            val = sum(kernel.evaluate((xf - s) / a) for s in samples) / (n * a)
+            val = sum([evaluate((xf - s) / a) for s in samples]) / (n * a)
             row.append(-_snap(val, "a density value"))
         rows.append(tuple(row))
     base = SimplicialComplex.path(x_res)
@@ -278,12 +283,13 @@ def nw_regression_family(pairs, kernel: KernelSpec, bandwidth_range,
     bws = _bandwidths(bandwidth_range, t_res)
     xs = _x_grid([x for x, _ in pts], domain_box, bws[-1][1], x_res)
     guard = float(NW_DENOMINATOR_GUARD)
+    evaluate = _EVALUATORS[kernel.kind]
     rows = []
     for _, alpha in bws:
         a = float(alpha)
         raw = []
         for xf in xs:
-            weights = [kernel.evaluate((xf - sx) / a) for sx, _ in pts]
+            weights = [evaluate((xf - sx) / a) for sx, _ in pts]
             den = sum(weights)
             if den < guard:
                 raw.append(None)

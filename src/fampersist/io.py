@@ -83,20 +83,35 @@ def load_family(path: str) -> PLFamily:
     return family_from_json_dict(data)
 
 
+class Rows:
+    """A JSON list of rows of one declared form, written by ``dump_json``.
+
+    ``form`` is one row with each leaf replaced by its type, ``int``,
+    ``str`` or ``bool``: ``[[int] * 3, [int] * 3, int]`` declares rows
+    written as ``[[0, 1, 2], [0, 1, 3], 1]``.  ``rows`` is a list whose
+    items are the flat tuples of each row's leaves in written order, dict
+    keys sorted: ``(0, 1, 2, 0, 1, 3, 1)``.  The form is checked here,
+    when it is declared; the rows are trusted to fit it.
+    """
+
+    def __init__(self, form, rows):
+        _template(form, "\n")
+        self.form, self.rows = form, rows
+
+
 def dump_json(data, path: Optional[str] = None) -> str:
     """Serialize deterministically: sorted keys, no trailing whitespace.
 
     The text is byte-identical to ``json.dumps(data, sort_keys=True,
-    indent=2) + "\\n"``; this is the one JSON writer of the package.  Dicts
-    with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and
-    ``None`` are written here.  A list of plain ``int`` is one join.  A
-    list of two or more rows whose first row is a non-empty container is
-    written through one ``%`` template compiled from that first row, when
-    every row has exactly its shape: the same container types and lengths,
-    the same dict keys, and the same leaf type (``int``, ``str`` or
-    ``bool``) at each leaf; otherwise the list is written item by item.
-    Any other value (a float, a dict with a non-``str`` key, a subclass) is
-    left to ``json.dumps`` and re-indented.
+    indent=2) + "\\n"``, once each ``Rows`` is expanded into its list of
+    rows; this is the one JSON writer of the package.  Dicts with ``str``
+    keys, lists, tuples, ``str``, ``int``, ``bool`` and ``None`` are
+    written here.  A list of plain ``int`` is one join.  A ``Rows`` is
+    written through one ``%`` template compiled from its form, with its
+    ``str`` and ``bool`` leaves encoded column by column and no row checked
+    against the form; a row of the wrong length raises.  Any other value
+    (a float, a dict with a non-``str`` key, a subclass) is left to
+    ``json.dumps`` and re-indented.
     """
     text = _encode(data, "\n") + "\n"
     if path is not None:
@@ -106,12 +121,6 @@ def dump_json(data, path: Optional[str] = None) -> str:
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
-# The template arguments of a leaf, by its exact type.
-_LEAF_FILLS = {
-    int: lambda v: (v,),
-    str: lambda v: (encode_basestring_ascii(v),),
-    bool: lambda v: (_LITERALS[v],),
-}
 
 
 def _encode(v, nl: str) -> str:
@@ -130,8 +139,10 @@ def _encode(v, nl: str) -> str:
         if type(v[0]) is int and all(type(x) is int for x in v):
             items = map(int.__repr__, v)
         else:
-            items = _rows(v, inner) or [_encode(x, inner) for x in v]
+            items = [_encode(x, inner) for x in v]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is Rows:
+        return _encode_rows(v, nl)
     if t is dict and all(type(k) is str for k in v):
         if not v:
             return "{}"
@@ -142,78 +153,54 @@ def _encode(v, nl: str) -> str:
     return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
 
 
-def _rows(v, nl: str):
-    """v's items through one template compiled from v[0], or None when v
-    is not a list of two or more rows of one shape."""
-    if len(v) < 2 or type(v[0]) not in (list, tuple, dict) or not v[0]:
-        return None
-    shape = _shape(v[0], nl)
-    if shape is None:
-        return None
-    template, leaves = shape
-    args = [leaves(row) for row in v]
-    if None in args:
-        return None
-    return [template % a for a in args]
-
-
-def _shape(x, nl: str):
-    """Compile the shape of container x, written at line start nl, into
-    ``(template, leaves)``: ``leaves(y)`` is the tuple that fills the
-    template with y's leaves when y has exactly x's shape, else None.
-    None when x holds an empty container or a leaf that is not a plain
-    int, str or bool."""
-    t = type(x)
+def _encode_rows(v: Rows, nl: str) -> str:
+    if not v.rows:
+        return "[]"
     inner = nl + "  "
+    template, kinds = _template(v.form, inner)
+    rows = v.rows
+    if str in kinds or bool in kinds:
+        columns = list(zip(*rows, strict=True))  # no row cut to the shortest
+        if len(columns) != len(kinds):
+            raise ValueError(f"rows of {len(columns)} leaves for {len(kinds)}")
+        for n, kind in enumerate(kinds):
+            if kind is str:
+                columns[n] = map(encode_basestring_ascii, columns[n])
+            elif kind is bool:
+                columns[n] = map(_LITERALS.__getitem__, columns[n])
+        rows = zip(*columns)
+    return ("[" + inner + ("," + inner).join([template % r for r in rows])
+            + nl + "]")
+
+
+def _template(form, nl: str):
+    """The ``%`` template of one row of ``form``, written at line start nl,
+    and the types of its leaves in written order.  Raises for a form that
+    holds an empty container, a non-``str`` key or a leaf that is not
+    ``int``, ``str`` or ``bool``."""
+    if form in (int, str, bool):
+        return ("%d" if form is int else "%s"), [form]
+    t = type(form)
     if t is dict:
-        if not all(type(k) is str for k in x):
-            return None
-        keys = sorted(x)
+        keys = sorted(form)
         heads = [encode_basestring_ascii(k).replace("%", "%%") + ": "
                  for k in keys]
-        items = [x[k] for k in keys]
+        items = [form[k] for k in keys]
         brackets = "{}"
+    elif t is list or t is tuple:
+        heads, items, brackets = [""] * len(form), form, "[]"
     else:
-        heads, items, brackets = [""] * len(x), x, "[]"
-    parts, fills = [], []
+        raise TypeError(f"row form leaf {form!r} is not int, str or bool")
+    if not items:
+        raise ValueError(f"row form holds an empty container {form!r}")
+    inner = nl + "  "
+    parts, kinds = [], []
     for head, item in zip(heads, items):
-        ti = type(item)
-        if ti in _LEAF_FILLS:
-            parts.append(head + ("%d" if ti is int else "%s"))
-            fills.append(_LEAF_FILLS[ti])
-        elif ti in (list, tuple, dict) and item:
-            shape = _shape(item, inner)
-            if shape is None:
-                return None
-            parts.append(head + shape[0])
-            fills.append(shape[1])
-        else:
-            return None
-    template = (brackets[0] + inner + ("," + inner).join(parts) + nl
-                + brackets[1])
-    types = tuple(map(type, items))
-    ints_only = all(f is _LEAF_FILLS[int] for f in fills)
-
-    def leaves(y):
-        if type(y) is not t:
-            return None
-        if t is dict:
-            if y.keys() != x.keys():
-                return None
-            y = tuple(map(y.__getitem__, keys))
-        if tuple(map(type, y)) != types:
-            return None
-        if ints_only:
-            return tuple(y)
-        out = []
-        for fill, item in zip(fills, y):
-            got = fill(item)
-            if got is None:
-                return None
-            out += got
-        return tuple(out)
-
-    return template, leaves
+        template, leaves = _template(item, inner)
+        parts.append(head + template)
+        kinds += leaves
+    return (brackets[0] + inner + ("," + inner).join(parts) + nl
+            + brackets[1]), kinds
 
 
 def write_text(text: str, path: Optional[str] = None) -> str:

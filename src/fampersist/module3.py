@@ -181,25 +181,27 @@ class Module3:
     # ----- serialization --------------------------------------------------
 
     def to_json_dict(self):
-        """The dims over the grid and the positive adjacent-edge ranks,
-        sorted.  Edges are rank curves: from each level to the next over
-        each window's barcode for its level edges, from each level to
-        itself over the barcode of each widening (w, w') in the grid for
-        its window edges, reduced on first read."""
+        """The payload for ``io.dump_json``: the dims over the grid and the
+        positive adjacent-edge ranks as ``io.Rows`` of sorted flat tuples
+        (i, j, k, i', j', k', rank).  Edges are rank curves: from each level
+        to the next over each window's barcode for its level edges, from
+        each level to itself over the barcode of each widening (w, w') in
+        the grid for its window edges, reduced on first read."""
+        from .io import Rows  # not at import: the package loads no writer
         nt, nl = len(self.time_values), len(self.level_values)
         stages = list(range(nl))
-        dims = [[[self.dim((i, j, k)) for k in range(nl)]
+        dims = [[[self.dims.get((i, j, k), 0) for k in stages]
                  if i <= j else None
                  for j in range(nt)] for i in range(nt)]
         edges = []
-        for w in self.windows():
-            for wp in (w, (w[0] - 1, w[1]), (w[0], w[1] + 1)):
-                if wp[0] >= 0 and wp[1] < nt:
-                    up = int(w == wp)
-                    curve = self.barcode(w, wp).rank_curve(
+        for i, j in self.windows():
+            for a, b in ((i, j), (i - 1, j), (i, j + 1)):
+                if a >= 0 and b < nt:
+                    up = int((a, b) == (i, j))
+                    curve = self.barcode((i, j), (a, b)).rank_curve(
                         self.degree, stages[:nl - up], stages[up:])
-                    edges += ([[*w, k], [*wp, k + up], r]
-                              for k, r in enumerate(curve) if r)
+                    edges += [(i, j, k, a, b, k + up, r)
+                              for k, r in enumerate(curve) if r]
         edges.sort()
         return {
             "degree": self.degree,
@@ -207,7 +209,7 @@ class Module3:
             "time_values": [format_rational(t) for t in self.time_values],
             "level_values": [format_rational(c) for c in self.level_values],
             "dims": dims,
-            "edge_ranks": edges,
+            "edge_ranks": Rows([[int] * 3, [int] * 3, int], edges),
         }
 
     def to_csv(self) -> str:
@@ -454,10 +456,13 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
 
 
 def check_indecomposable_sufficient(mod: Module3) -> bool:
-    """Sufficient indecomposability test for modules with a one-dimensional
-    top corner: every minimal support point must send a nonzero class all
-    the way to the widest window at the highest level.  Returns False when
-    the criterion does not apply or some minimal point dies on the way."""
+    """Indecomposability test for modules with a one-dimensional top
+    corner: every minimal support point must send a nonzero class all the
+    way to the widest window at the highest level.  Returns False when the
+    criterion does not apply or some minimal point dies on the way.
+    True is no certificate, as a summand can start above another's minimal
+    point: on ``path(3)`` with values (0, 2, 1) at t = 0 and t = 1 this
+    answers True, and ``thin_decompose`` returns two summands."""
     support = mod.support()
     if not support:
         return False

@@ -63,19 +63,21 @@ class PerturbationReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self):
+        """The payload for ``io.dump_json``: the checks as ``io.Rows`` of
+        flat tuples (direction, lhs_rank, pass, a, b, c, rhs_dim).  Each
+        time and level object is formatted once, found by identity, since
+        hashing a Fraction costs more than formatting it."""
+        from .io import Rows  # not at import: the package loads no writer
+        values = {id(v): v for c in self.checks for v in c.point}
+        texts = {k: format_rational(v) for k, v in values.items()}
+        rows = [(c.direction, c.lhs_rank, c.passed,
+                 *map(texts.__getitem__, map(id, c.point)), c.rhs_dim)
+                for c in self.checks]
         return {
             "epsilon": format_rational(self.epsilon),
             "degree": self.degree,
-            "checks": [
-                {
-                    "point": [format_rational(v) for v in c.point],
-                    "direction": c.direction,
-                    "lhs_rank": c.lhs_rank,
-                    "rhs_dim": c.rhs_dim,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": Rows({"direction": str, "lhs_rank": int, "pass": bool,
+                            "point": [str] * 3, "rhs_dim": int}, rows),
             "overall": self.overall,
         }
 

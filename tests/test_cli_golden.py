@@ -9,6 +9,8 @@ import pytest
 from fampersist.cli import main
 
 SAMPLE = "-1.5\n-1\n-0.25\n0.25\n0.5\n1\n1.5\n2.25\n"
+PAIRS = ("x,y\n-1.5,0.25\n-1,1\n-0.25,0.5\n0.25,-0.5\n0.5,0\n1,1.5\n"
+         "1.5,0.75\n2.25,-1\n")
 
 GOLDEN = [
     (("module", "--example", "hat"), 0,
@@ -52,15 +54,23 @@ GOLDEN = [
      "a828fd9aa81d6041bdd274faa4e1e859d2bb0dfc365bdc1db80f659da5c2bb39"),
     (("kde", "--summands", "--tres", "4", "--xres", "16"), 0,
      "2516f1beeba04ebc5b8168bfe37423942a6e49850292245a5ffaf698c2b877ab"),
+    (("kde", "--kernel", "epanechnikov", "--tres", "4", "--xres", "16"), 0,
+     "517bfc8cb3e9bed80cb9de3f58b340f6c3b17c93b5868a0b407ae5c74bbb12eb"),
+    (("kde", "--kernel", "triangular", "--tres", "4", "--xres", "16"), 0,
+     "320be64fbbc273970734bcf0c957675bb98233dbcd25155e4ab27eaa8780c72c"),
+    (("kde",), 0,  # the default --tres 8 --xres 32
+     "ef373a020bbc1996149ca105bcc77ebac26b78344c34c87c1d4bc8b273288ede"),
+    (("regress", "--summands", "--tres", "4", "--xres", "16"), 0,
+     "766cf4d765272c010e0b122d4bedf625a00a10857551edaa2cc8b5bef59c5e15"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", GOLDEN,
                          ids=[" ".join(argv) for argv, _, _ in GOLDEN])
 def test_cli_stdout_digest(capsys, tmp_path, argv, code, digest):
-    if argv[0] == "kde":
+    if argv[0] in ("kde", "regress"):
         data = tmp_path / "samples.csv"
-        data.write_text(SAMPLE)
+        data.write_text(SAMPLE if argv[0] == "kde" else PAIRS)
         argv += ("--data", str(data), "--bandwidth", "1/4:2")
     assert main(list(argv)) == code
     out = capsys.readouterr().out

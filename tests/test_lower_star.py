@@ -20,6 +20,7 @@ a nested pair must have the same bars of positive length, and
 must pair cells of one grade at incidence +-1 without a closed V-path.
 """
 
+import json
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -36,8 +37,11 @@ from fampersist.module3 import (_join, _joint_rank, _leq, _top_point,
                                 build_module, check_indecomposable_sufficient,
                                 finite_subdiagram, thin_decompose)
 from fampersist.stability import check_interleaving_necessary
+from fampersist.io import dump_json
 from fampersist.verify import run_suite
 from fampersist.simplicial import SimplicialComplex, slab_sublevel
+
+from payload import expand
 
 
 def reference_module(p, degree, fieldspec, levels):
@@ -99,7 +103,7 @@ def test_engine_matches_per_point_reference(fam):
                 prism, degree, fieldspec, mod.level_values)
             assert mod.dims == dims, (fieldspec, degree)
             assert {(tuple(x), tuple(y)): r for x, y, r
-                    in mod.to_json_dict()["edge_ranks"]} == edges, \
+                    in expand(mod.to_json_dict())["edge_ranks"]} == edges, \
                 (fieldspec, degree)
             for x in mod.points():
                 for y in mod.neighbors_up(x):
@@ -114,6 +118,34 @@ def test_engine_matches_per_point_reference(fam):
                     if key not in ranks:
                         ranks[key] = induced_rank(*key, degree, fieldspec)
                     assert mod.rank(x, y) == ranks[key], (x, y)
+
+
+def written_as_expanded(payload):
+    """dump_json of a payload of io.Rows is json.dumps of its expansion."""
+    want = json.dumps(expand(payload), sort_keys=True, indent=2) + "\n"
+    return dump_json(payload) == want
+
+
+@pytest.mark.parametrize("fam", families())
+def test_json_payloads_write_as_their_expansion(fam):
+    """The module and stability payloads, in degrees 0-2 over GF(2) and
+    GF(3), against every family of the same breakpoints and a copy raised
+    by 1/3, which fails the check at epsilon 0."""
+    others = [p.values[0] for p in families()
+              if p.values[0].time_breakpoints == fam.time_breakpoints]
+    others.append(fam.shifted(F(1, 3)))
+    prisms = [fam.to_prism()] + [g.to_prism() for g in others]
+    for fieldspec in (FieldSpec(2), FieldSpec(3)):
+        reports = [betti_report(p, 2, fieldspec) for p in prisms]
+        assert written_as_expanded(reports[0].to_json_dict())
+        for degree in (0, 1, 2):
+            mf = reports[0].modules[degree]
+            for other in reports[1:]:
+                for eps in (F(0), F(1, 4)):
+                    report = check_interleaving_necessary(
+                        mf, other.modules[degree], eps)
+                    assert written_as_expanded(report.to_json_dict()), \
+                        (fieldspec, degree, eps)
 
 
 def probe_levels(levels, rng):
@@ -189,7 +221,8 @@ def test_cross_window_ranks_match_slabs(fam):
             mod, shared = (build_module(prism, degree, fieldspec),
                            report.modules[degree])
             assert list(shared.dims.items()) == list(mod.dims.items())
-            assert shared.to_json_dict() == mod.to_json_dict()
+            assert (expand(shared.to_json_dict())
+                    == expand(mod.to_json_dict()))
             for m in (mod, shared):
                 check_cross_window_ranks(prism, m, slabs, ranks)
 
