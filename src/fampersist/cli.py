@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .cerf import CerfError, trace_cerf
 from .family import (KERNELS, FamilyError, KernelSpec, PLFamily,
@@ -226,6 +227,7 @@ def _add_family_source(sub):
                           "wrinkled-cylinder")
 
 
+@cache  # built on the first main call, not at import, and reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fampersist",

@@ -384,15 +384,15 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
     """Split the module into thin (pointwise dimension one) summands.
 
     A dim above two is refused at once, with a witness.  With dims up to
-    two the layer that survives to the widest window at the highest level
-    is peeled off first, provided the peel is consistent: for any two
-    minimal points x, x' of the peel, H_n(slab x ∪ slab x') -> H_n(slab y)
-    at their join y must have rank at most one.  Only joins of dim two are
-    reduced: y lies above a peel point, so its dim is one or two, and a map
-    into a space of dim one has rank at most one.  In degree zero that rank
-    is the dimension of the span of the two images at y; in higher degrees
-    it can exceed that span, so the peel may refuse conservatively.  With
-    all dims at most one the peel is empty.
+    two the layer that survives to the widest window at the highest level,
+    one rank curve per window, is peeled off first, provided the peel is
+    consistent: for any two minimal points x, x' of the peel, H_n(slab x ∪
+    slab x') -> H_n(slab y) at their join y must have rank at most one.
+    Only joins of dim two are reduced: y lies above a peel point, so its
+    dim is one or two, and a map into a space of dim one has rank at most
+    one.  In degree zero that rank is the dimension of the span of the two
+    images at y; in higher degrees it can exceed that span, so the peel may
+    refuse conservatively.  With all dims at most one the peel is empty.
 
     What remains, of dim at most one, is split into the zigzag components
     of its support along edges of residual rank one, the edge's rank less
@@ -421,7 +421,10 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
                 "no thin decomposition along the top layer: dimension at "
                 f"the widest window, highest level is {mod.dim(top)}, not 1",
                 witness=top)
-        peel = {x for x in support if mod.rank(x, top) >= 1}
+        stages = list(range(top[2] + 1))
+        peel = {(*w, k) for w in {x[:2] for x in support}
+                for k, r in enumerate(mod.barcode(w, top[:2]).rank_curve(
+                    mod.degree, stages, [top[2]] * len(stages))) if r}
         minimal = [x for x in sorted(peel)
                    if not any(y in peel for y in mod.neighbors_down(x))]
         for idx, x in enumerate(minimal):

@@ -12,9 +12,9 @@ lowest one.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 from typing import List
 
 from .family import FamilyError, PLFamily
@@ -54,25 +54,37 @@ class ShiftCheck:
 
 @dataclass
 class PerturbationReport:
+    """Per window (i, j) of ``times``, in ``Module3.windows()`` order, one
+    (direction, lhs, rhs) per direction: at level n, the source's rank from
+    levels[n] to levels[n] + 2*epsilon and the target's dim at levels[n] +
+    epsilon.  ``checks`` lists the checks by window, level and direction."""
     epsilon: Fraction
     degree: int
-    checks: List[ShiftCheck]
+    times: List[Fraction]
+    levels: List[Fraction]
+    curves: list  # of ((i, j), [(direction, lhs, rhs), ...])
+
+    @property
+    def checks(self) -> List[ShiftCheck]:
+        return [ShiftCheck((self.times[i], self.times[j], c), name, lhs[n],
+                           rhs[n]) for (i, j), dirs in self.curves
+                for n, c in enumerate(self.levels) for name, lhs, rhs in dirs]
 
     @property
     def overall(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(all(map(le, lhs, rhs))
+                   for _, dirs in self.curves for _, lhs, rhs in dirs)
 
     def to_json_dict(self):
         """The payload for ``io.dump_json``: the checks as ``io.Rows`` of
-        flat tuples (direction, lhs_rank, pass, a, b, c, rhs_dim).  Each
-        time and level object is formatted once, found by identity, since
-        hashing a Fraction costs more than formatting it."""
+        flat tuples (direction, lhs_rank, pass, a, b, c, rhs_dim), read
+        from the curves with each time and level formatted once."""
         from .io import Rows  # not at import: the package loads no writer
-        values = {id(v): v for c in self.checks for v in c.point}
-        texts = {k: format_rational(v) for k, v in values.items()}
-        rows = [(c.direction, c.lhs_rank, c.passed,
-                 *map(texts.__getitem__, map(id, c.point)), c.rhs_dim)
-                for c in self.checks]
+        times = [format_rational(t) for t in self.times]
+        levels = [format_rational(c) for c in self.levels]
+        rows = [(name, lhs[n], lhs[n] <= rhs[n], times[i], times[j], c,
+                 rhs[n]) for (i, j), dirs in self.curves
+                for n, c in enumerate(levels) for name, lhs, rhs in dirs]
         return {
             "epsilon": format_rational(self.epsilon),
             "degree": self.degree,
@@ -82,6 +94,16 @@ class PerturbationReport:
         }
 
 
+def grid_indices(grid, values) -> List[int]:
+    """bisect_right(grid, v) - 1 per v, one merge walk over ascending lists."""
+    out, k, top = [], -1, len(grid) - 1
+    for v in values:
+        while k < top and grid[k + 1] <= v:
+            k += 1
+        out.append(k)
+    return out
+
+
 def check_interleaving_necessary(mf: "Module3", mg: "Module3",
                                  epsilon) -> PerturbationReport:
     """Check the pointwise rank consequence of an epsilon-interleaving.
@@ -89,13 +111,11 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
     For every grid triple (a, b, c) and each of the two directions, the
     rank of the map raising the level from c to c + 2*epsilon in one module
     must not exceed the dimension of the other module at level c + epsilon.
-    Levels are taken from the union of the two grids.  A shifted level need
-    not lie on a grid: each module answers at the index
-    bisect_right(level_values, c) - 1 of the highest grid level <= c, which
-    has the same slab, since the grid holds every vertex value of the
-    module's prism (index -1 is the empty slab, below every birth).  The
-    ranks of one window and direction are one rank curve of the source's
-    window barcode, from the indices of c to those of c + 2*epsilon.
+    Levels are taken from the union of the two grids.  A module answers a
+    shifted level c at the ``grid_indices`` index of its highest grid level
+    <= c, which has the same slab (index -1 is the empty slab, below every
+    birth).  Per window and direction, both sides are rank curves of the
+    window barcodes the build reduced, kept as int lists.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -107,26 +127,16 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
     if mf.time_values != mg.time_values:
         raise FamilyError("families must share the breakpoints")
 
-    times = mf.time_values
     levels = sorted(set(mf.level_values) | set(mg.level_values))
-
-    def at(m, shift):
-        return [bisect_right(m.level_values, c + shift) - 1 for c in levels]
-
-    # Per direction, the grid indices of c, c + 2*epsilon in the source and
-    # of c + epsilon in the target, for every level c: none depends on the
-    # window.
-    directions = [(name, src, dst, at(src, 0), at(src, 2 * epsilon),
-                   at(dst, epsilon))
+    mid, top = ([c + e for c in levels] for e in (epsilon, 2 * epsilon))
+    directions = [(name, src, dst, grid_indices(src.level_values, levels),
+                   grid_indices(src.level_values, top),
+                   grid_indices(dst.level_values, mid))
                   for name, src, dst in (("f_to_g", mf, mg),
                                          ("g_to_f", mg, mf))]
-    checks = []
-    for w in mf.windows():
-        curves = [(name, src.barcode(w, w).rank_curve(src.degree, lo, hi),
-                   dst, mid) for name, src, dst, lo, hi, mid in directions]
-        for n, c in enumerate(levels):
-            for name, lhs, dst, mid in curves:
-                checks.append(ShiftCheck(
-                    point=(times[w[0]], times[w[1]], c), direction=name,
-                    lhs_rank=lhs[n], rhs_dim=dst.dim((*w, mid[n]))))
-    return PerturbationReport(epsilon=epsilon, degree=mf.degree, checks=checks)
+    curves = [(w, [(name, src.barcode(w, w).rank_curve(src.degree, lo, hi),
+                    dst.barcode(w, w).rank_curve(dst.degree, at, at))
+                   for name, src, dst, lo, hi, at in directions])
+              for w in mf.windows()]
+    return PerturbationReport(epsilon, mf.degree, mf.time_values, levels,
+                              curves)

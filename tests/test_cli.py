@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fampersist.cli import main
+from fampersist.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -494,3 +494,28 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
                           timeout=60)
     code, out, err = run(capsys, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_consecutive_calls_match_separate_runs(capsys):
+    """One process builds the parser once; each later call, a bad argument
+    included, writes what a fresh process writes."""
+    argvs = [("module", "--example", "zigzag:2", "--format", "csv"),
+             ("stability", "--example", "hat", "--example2", "zigzag:2",
+              "--epsilon", "1/2"),
+             ("module", "--example", "hat", "--degree", "x")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    separate = [subprocess.run([sys.executable, "-m", "fampersist", *argv],
+                               env=env, capture_output=True, text=True,
+                               timeout=60)
+                for argv in argvs]
+    build_parser.cache_clear()
+    for argv, proc in zip(argvs, separate):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert ((code, captured.out, captured.err)
+                == (proc.returncode, proc.stdout, proc.stderr)), argv
+    assert [p.returncode for p in separate] == [0, 1, 2]
+    assert build_parser.cache_info().misses == 1

@@ -48,6 +48,13 @@ GOLDEN = [
      "012e38281fe121966d0f85717ef5f3f3fd5ed5427a6d22d439a9d9ae6798c89a"),
     (("stability", "--example", "zigzag:2", "--example2", "hat"), 0,
      "b3f847733332baabaa419163c706d920be1875838ea12bb23563d56b0336d525"),
+    # Every c + 2*epsilon lies above the top grid level.
+    (("stability", "--example", "hat", "--example2", "zigzag:2",
+      "--epsilon", "3"), 0,
+     "9f0a7a7d9879d36f5910ee2501eca0d11b4783c45c1970b689de1a85f7a510b7"),
+    (("stability", "--example", "wrinkled-cylinder", "--example2",
+      "wrinkled-cylinder", "--degree", "1", "--epsilon", "0"), 0,
+     "2dc86bed44354d137d08ee84f4361b7da8914ce4eb7f6aef8dda518034580897"),
     (("cerf", "--example", "wrinkled-cylinder", "--format", "json"), 0,
      "6a30bbc8cb957b8ba2a60d5f70200371d8d3eb54f0a872857bcef434f23adf18"),
     (("cerf", "--example", "hat"), 0,

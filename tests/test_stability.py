@@ -1,8 +1,10 @@
 import json
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fampersist.family import (FamilyError, PLFamily, hat_family,
                                point_family, wrinkled_cylinder_family,
@@ -12,7 +14,8 @@ from fampersist.io import dump_json
 from fampersist.module3 import Module3, build_module
 from fampersist.simplicial import SimplicialComplex, slab_sublevel
 from fampersist.stability import (PerturbationReport, ShiftCheck,
-                                  check_interleaving_necessary, sup_distance)
+                                  check_interleaving_necessary, grid_indices,
+                                  sup_distance)
 
 from oracle import all_downward_closed
 from payload import expand
@@ -45,6 +48,23 @@ class TestSupDistance:
     def test_mismatched_breakpoints_rejected(self):
         with pytest.raises(FamilyError):
             sup_distance(hat_family(2), hat_family(4))
+
+
+# Small denominators, so values tie with grid entries and with each other;
+# values range past both ends of every grid.
+GRID = st.lists(st.fractions(-2, 2, max_denominator=3), max_size=8).map(sorted)
+VALUES = st.lists(st.fractions(-3, 3, max_denominator=6),
+                  max_size=12).map(sorted)
+
+
+@settings(derandomize=True)
+@given(GRID, VALUES)
+@example([F(0), F(1, 2), F(1)], [F(-1), F(0), F(0), F(1, 4), F(1, 2),
+                                 F(1), F(2)])
+@example([], [F(0)])
+def test_grid_indices_match_bisect(grid, values):
+    assert grid_indices(grid, values) == [bisect_right(grid, v) - 1
+                                          for v in values]
 
 
 class TestInterleavingCheck:
@@ -129,19 +149,21 @@ def reference_report(pf, pg, mf, mg, epsilon):
         return ranks[(sub, sup)]
 
     times = pf.time_breakpoints
-    checks = []
+    levels = sorted(set(mf.level_values) | set(mg.level_values))
+    curves = []
     for i in range(len(times)):
         for j in range(i, len(times)):
-            for c in sorted(set(mf.level_values) | set(mg.level_values)):
-                for name, src, dst in (("f_to_g", pf, pg),
-                                       ("g_to_f", pg, pf)):
-                    lhs = rank(slab(src, i, j, c),
-                               slab(src, i, j, c + 2 * epsilon))
-                    mid = slab(dst, i, j, c + epsilon)
-                    checks.append(ShiftCheck(
-                        point=(times[i], times[j], c), direction=name,
-                        lhs_rank=lhs, rhs_dim=rank(mid, mid)))
-    return PerturbationReport(epsilon=epsilon, degree=degree, checks=checks)
+            dirs = []
+            for name, src, dst in (("f_to_g", pf, pg), ("g_to_f", pg, pf)):
+                lhs = [rank(slab(src, i, j, c),
+                            slab(src, i, j, c + 2 * epsilon))
+                       for c in levels]
+                mids = [slab(dst, i, j, c + epsilon) for c in levels]
+                dirs.append((name, lhs, [rank(m, m) for m in mids]))
+            curves.append(((i, j), dirs))
+    return PerturbationReport(epsilon=epsilon, degree=degree,
+                              times=list(times), levels=levels,
+                              curves=curves)
 
 
 def random_offsets(rng, fam, choices):
@@ -201,3 +223,29 @@ class TestModuleQueriesMatchSlabs:
 
         monkeypatch.setattr(Module3, "rank", point_query)
         assert check_interleaving_necessary(mf, mg, sup_distance(f, g)).overall
+
+    @pytest.mark.parametrize("degree", (0, 1))
+    def test_check_builds_no_shift_check(self, monkeypatch, degree):
+        """The check, its verdict and its JSON are read from the rank
+        curves; the per-check objects exist only as the ``checks`` view,
+        which matches the slab reference."""
+        f, g = next(p.values for p in differential_pairs()
+                    if p.id == "wrinkled")
+        pf, pg = f.to_prism(), g.to_prism()
+        mf, mg = build_module(pf, degree), build_module(pg, degree)
+
+        def build(*args, **kwargs):
+            raise AssertionError("built a ShiftCheck")
+
+        for eps in (F(0), sup_distance(f, g)):
+            with monkeypatch.context() as patch:
+                patch.setattr(ShiftCheck, "__init__", build)
+                report = check_interleaving_necessary(mf, mg, eps)
+                overall = report.overall
+                dump_json(report.to_json_dict())
+            got = report.checks
+            want = reference_report(pf, pg, mf, mg, eps).checks
+            assert len(got) == len(want)
+            for mine, ref in zip(got, want):
+                assert mine == ref, eps
+            assert overall == all(c.passed for c in got)
