@@ -14,17 +14,15 @@ from fractions import Fraction
 from functools import cache
 
 from .cerf import CerfError, trace_cerf
-from .family import (KERNELS, FamilyError, KernelSpec, PLFamily,
-                     cylinder_family, hat_family, kde_family,
-                     nw_regression_family, wrinkled_cylinder_family,
-                     zigzag_family)
-from .homology import FieldSpec, HomologyError
+from .family import (KERNELS, KernelSpec, PLFamily, cylinder_family,
+                     hat_family, kde_family, nw_regression_family,
+                     wrinkled_cylinder_family, zigzag_family)
+from .homology import FieldSpec
 from .io import (IOFormatError, dump_json, family_to_json_dict, load_family,
                  load_samples, write_text)
 from .module3 import ModuleError, ThinRefusal, betti_report, build_module, \
     thin_decompose
 from .rational import parse_rational
-from .simplicial import ComplexError
 from .stability import check_interleaving_necessary, sup_distance
 from .svg import render_cerf_svg
 from .verify import run_suite
@@ -295,8 +293,7 @@ def main(argv=None) -> int:
     except IOFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FamilyError, ComplexError, ModuleError, HomologyError,
-            CerfError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:

@@ -34,8 +34,6 @@ slabs in the slab at their join, which is a prefix of the join's window.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,14 +211,14 @@ class Module3:
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["a", "b", "c", "dim"])
+        """One row (a, b, c, dim) per grid point; canonical rationals and
+        ints need no csv quoting."""
         times = [format_rational(t) for t in self.time_values]
         levels = [format_rational(c) for c in self.level_values]
-        for i, j, k in self.points():
-            w.writerow([times[i], times[j], levels[k], self.dim((i, j, k))])
-        return buf.getvalue()
+        dims = self.dims
+        return "a,b,c,dim\n" + "".join(
+            f"{times[i]},{times[j]},{levels[k]},{dims.get((i, j, k), 0)}\n"
+            for i, j, k in self.points())
 
 
 def _lower_star_cells(p: PrismComplex, levels: List[Fraction]):
@@ -332,29 +330,6 @@ def finite_subdiagram(mod: Module3, points: List[Point]) -> Subdiagram:
 # ----- thin decomposition --------------------------------------------------
 
 
-def _zigzag_components(mod: Module3, support, edge):
-    """Components of the support under adjacent edges with edge(x, y) >= 1."""
-    seen = set()
-    comps = []
-    for start in sorted(support):
-        if start in seen:
-            continue
-        comp, stack = {start}, [start]
-        while stack:
-            x = stack.pop()
-            linked = [y for y in mod.neighbors_up(x)
-                      if y in support and edge(x, y) >= 1]
-            linked += [y for y in mod.neighbors_down(x)
-                       if y in support and edge(y, x) >= 1]
-            for y in linked:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(IntervalSummand(frozenset(comp)))
-    return comps
-
-
 def _top_point(mod: Module3) -> Point:
     return (0, len(mod.time_values) - 1, len(mod.level_values) - 1)
 
@@ -394,14 +369,17 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
     images at y; in higher degrees it can exceed that span, so the peel may
     refuse conservatively.  With all dims at most one the peel is empty.
 
-    What remains, of dim at most one, is split into the zigzag components
-    of its support along edges of residual rank one, the edge's rank less
-    one when both ends lie in the peel, and refused when two adjacent
-    points of a component have an edge of residual rank zero.  Points of
-    distinct components need no rank check: a nonzero map x -> y factors
-    through every edge of a monotone lattice path from x to y, so each of
-    those edges is nonzero, hence of rank one, and x and y lie in one
-    component.
+    What remains, of dim at most one, is split in one walk over its
+    support in sorted order, which reads each adjacent pair of residual
+    points once: its residual rank is the edge's rank, less one when both
+    ends lie in the peel.  A pair of residual rank one joins the classes of
+    its ends (union-find); the summands are the peel, then the classes in
+    order of their least point.  The module is refused at the first pair
+    of residual rank zero, in walk order, whose ends lie in one class.
+    Points of distinct classes need no rank check: a nonzero map x -> y
+    factors through every edge of a monotone lattice path from x to y, so
+    each of those edges is nonzero, hence of rank one, and x and y lie in
+    one class.
     """
     support = mod.support()
     if not support:
@@ -443,19 +421,33 @@ def thin_decompose(mod: Module3) -> List[IntervalSummand]:
             f"no thin decomposition after the peel: dimension "
             f"{residual_dims[worst]} left at {worst}", witness=worst)
 
-    def edge(x, y):
-        return mod.rank(x, y) - (x in peel and y in peel)
+    parent = {x: x for x in residual}
 
-    comps = _zigzag_components(mod, residual, edge)
-    for comp in comps:
-        for x in comp.support:
-            for y in mod.neighbors_up(x):
-                if y in comp.support and edge(x, y) == 0:
-                    raise ThinRefusal(
-                        f"support is connected through {x} -> {y} but "
-                        "the edge carries rank 0; not a sum of thin "
-                        "summands", witness=(x, y))
-    return ([IntervalSummand(frozenset(peel))] if peel else []) + comps
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    order = sorted(residual)
+    zero = []
+    for x in order:
+        for y in mod.neighbors_up(x):
+            if y in residual:
+                if mod.rank(x, y) - (x in peel and y in peel):
+                    parent[find(x)] = find(y)
+                else:
+                    zero.append((x, y))
+    for x, y in zero:
+        if find(x) == find(y):
+            raise ThinRefusal(
+                f"support is connected through {x} -> {y} but the edge "
+                "carries rank 0; not a sum of thin summands", witness=(x, y))
+    comps = {}
+    for x in order:
+        comps.setdefault(find(x), set()).add(x)
+    return ([IntervalSummand(frozenset(peel))] if peel else []) + [
+        IntervalSummand(frozenset(comp)) for comp in comps.values()]
 
 
 def check_indecomposable_sufficient(mod: Module3) -> bool:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
+from itertools import groupby
 from operator import le
 from typing import List
 
@@ -111,11 +113,12 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
     For every grid triple (a, b, c) and each of the two directions, the
     rank of the map raising the level from c to c + 2*epsilon in one module
     must not exceed the dimension of the other module at level c + epsilon.
-    Levels are taken from the union of the two grids.  A module answers a
-    shifted level c at the ``grid_indices`` index of its highest grid level
-    <= c, which has the same slab (index -1 is the empty slab, below every
-    birth).  Per window and direction, both sides are rank curves of the
-    window barcodes the build reduced, kept as int lists.
+    Levels are taken from the union of the two grids, one merge of the two
+    sorted lists.  A module answers a shifted level c at the
+    ``grid_indices`` index of its highest grid level <= c, which has the
+    same slab (index -1 is the empty slab, below every birth).  Per window
+    and direction, both sides are rank curves of the window barcodes the
+    build reduced, kept as int lists.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -127,7 +130,7 @@ def check_interleaving_necessary(mf: "Module3", mg: "Module3",
     if mf.time_values != mg.time_values:
         raise FamilyError("families must share the breakpoints")
 
-    levels = sorted(set(mf.level_values) | set(mg.level_values))
+    levels = [c for c, _ in groupby(merge(mf.level_values, mg.level_values))]
     mid, top = ([c + e for c in levels] for e in (epsilon, 2 * epsilon))
     directions = [(name, src, dst, grid_indices(src.level_values, levels),
                    grid_indices(src.level_values, top),

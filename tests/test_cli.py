@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import fampersist
 from fampersist.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -15,6 +16,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_every_error_is_a_value_error():
+    """main sends every ValueError but IOFormatError to exit 3."""
+    errors = [getattr(fampersist, name) for name in fampersist.__all__
+              if name.endswith("Error")]
+    assert len(errors) == 6
+    assert all(issubclass(error, ValueError) for error in errors)
 
 
 class TestModuleCommand:

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module, and only
+"""Every name a package module imports is used in that module, every
+module-level private name is read somewhere in the package, and only
 ``io`` writes JSON.
 
 No linter is installed, so this parses each module with ``ast``.  An import
@@ -77,6 +78,61 @@ def test_detects_unused_and_honours_noqa():
               "    return c\n")
     assert unused_imports(source) == [(2, "os")]
     assert kept_imports(source) == [(3, "sys")]
+
+
+def private_definitions(source):
+    """Module-level private functions, classes and assigned names: one
+    leading underscore, not a dunder."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return {name for name in names
+            if name.startswith("_") and not name.endswith("__")}
+
+
+def read_names(source):
+    """Names read by a Load, as an attribute or by an import."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_private_names_are_used():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    read = set().union(*map(read_names, sources.values()))
+    assert sorted((name, private) for name, source in sources.items()
+                  for private in private_definitions(source)
+                  if private not in read) == []
+
+
+def test_detects_unread_private_names():
+    source = ("import m\n"
+              "_A = 1\n"
+              "_B, (_C, d) = 2, (3, 4)\n"
+              "_E: int = 5\n"
+              "__all__ = []\n"
+              "def _f():\n"
+              "    _G = _A\n"
+              "    return _G\n"
+              "class _K:\n"
+              "    pass\n"
+              "def g():\n"
+              "    return m._K, _E\n")
+    assert private_definitions(source) == {"_A", "_B", "_C", "_E", "_f",
+                                           "_K"}
+    assert private_definitions(source) - read_names(source) == {"_B", "_C",
+                                                                "_f"}
 
 
 def json_writers(source):

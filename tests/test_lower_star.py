@@ -20,11 +20,14 @@ a nested pair must have the same bars of positive length, and
 must pair cells of one grade at incidence +-1 without a closed V-path.
 """
 
+import csv
+import io
 import json
 import random
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -32,10 +35,11 @@ from fampersist.family import (PLFamily, cylinder_family, hat_family,
                                wrinkled_cylinder_family, zigzag_family)
 from fampersist import homology, module3
 from fampersist.homology import FieldSpec, betti, induced_rank
-from fampersist.module3 import (_join, _joint_rank, _leq, _top_point,
-                                _zigzag_components, betti_report,
-                                build_module, check_indecomposable_sufficient,
+from fampersist.module3 import (ThinRefusal, _join, _joint_rank, _leq,
+                                _top_point, betti_report, build_module,
+                                check_indecomposable_sufficient,
                                 finite_subdiagram, thin_decompose)
+from fampersist.rational import format_rational
 from fampersist.stability import check_interleaving_necessary
 from fampersist.io import dump_json
 from fampersist.verify import run_suite
@@ -266,6 +270,111 @@ def test_joint_rank_matches_union_of_slabs(fam):
                         union, target, degree, fieldspec), (x, xp, y)
 
 
+def reference_components(mod, residual, peel=frozenset()):
+    """The components of a residual support along adjacent edges of
+    residual rank one, by breadth-first search from each least unvisited
+    point, and the adjacent residual pairs of residual rank zero in walk
+    order (by x, then ``neighbors_up``).  Edge ranks are read from the
+    module's JSON; the residual rank is one less when both ends lie in the
+    peel."""
+    ranks = {(tuple(x), tuple(y)): r
+             for x, y, r in expand(mod.to_json_dict())["edge_ranks"]}
+    linked, zero = {x: [] for x in residual}, []
+    for x in sorted(residual):
+        for y in mod.neighbors_up(x):
+            if y in residual:
+                if ranks.get((x, y), 0) - (x in peel and y in peel):
+                    linked[x].append(y)
+                    linked[y].append(x)
+                else:
+                    zero.append((x, y))
+    comps, seen = [], set()
+    for start in sorted(residual):
+        if start in seen:
+            continue
+        comp, queue = {start}, deque([start])
+        while queue:
+            for y in linked[queue.popleft()]:
+                if y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps, zero
+
+
+def reference_thin(prism, mod):
+    """thin_decompose from plain queries: the peel from ``Module3.rank``
+    into the top point, the join check from ``induced_rank`` on a union of
+    slabs, and ``reference_components``.  Returns the summand supports in
+    thin_decompose's order, or raises its ThinRefusal."""
+    support = mod.support()
+    if not support:
+        return []
+    worst = max(support, key=mod.dim)
+    if mod.dim(worst) > 2:
+        raise ThinRefusal(f"no thin decomposition: dimension "
+                          f"{mod.dim(worst)} at grid point {worst}", worst)
+    peel = set()
+    if mod.dim(worst) == 2:
+        top = _top_point(mod)
+        if mod.dim(top) != 1:
+            raise ThinRefusal(
+                "no thin decomposition along the top layer: dimension at "
+                f"the widest window, highest level is {mod.dim(top)}, not 1",
+                top)
+        peel = {x for x in support if mod.rank(x, top)}
+
+        def slab(pt):
+            return slab_sublevel(prism, pt[0], pt[1],
+                                 mod.level_values[pt[2]]).simplices
+
+        minimal = [x for x in sorted(peel)
+                   if not any(y in peel for y in mod.neighbors_down(x))]
+        for x, xp in combinations(minimal, 2):
+            y = _join(x, xp)
+            if mod.dim(y) == 2 and induced_rank(
+                    slab(x) | slab(xp), slab(y), mod.degree,
+                    mod.fieldspec) > 1:
+                raise ThinRefusal(
+                    "no thin decomposition: the classes at grid points "
+                    f"{x} and {xp} stay independent at {y}", (x, xp, y))
+    residual_dims = {x: mod.dim(x) - (x in peel) for x in support}
+    residual = {x for x, d in residual_dims.items() if d >= 1}
+    if any(d > 1 for d in residual_dims.values()):
+        worst = max(residual, key=lambda p: residual_dims[p])
+        raise ThinRefusal(
+            f"no thin decomposition after the peel: dimension "
+            f"{residual_dims[worst]} left at {worst}", worst)
+    comps, zero = reference_components(mod, residual, peel)
+    label = {x: n for n, comp in enumerate(comps) for x in comp}
+    for x, y in zero:
+        if label[x] == label[y]:
+            raise ThinRefusal(
+                f"support is connected through {x} -> {y} but the edge "
+                "carries rank 0; not a sum of thin summands", (x, y))
+    return ([frozenset(peel)] if peel else []) + comps
+
+
+@pytest.mark.parametrize("fam", families() + higher_degree_families())
+def test_thin_decompose_matches_reference(fam):
+    """The same summands in the same order, or the same refusal message
+    and witness, in degrees 0-2 over GF(2) and GF(3)."""
+    prism = fam.to_prism()
+    for fieldspec in (FieldSpec(2), FieldSpec(3)):
+        for degree, mod in betti_report(prism, 2, fieldspec).modules.items():
+            try:
+                want = reference_thin(prism, mod)
+            except ThinRefusal as exc:
+                with pytest.raises(ThinRefusal) as err:
+                    thin_decompose(mod)
+                assert ((str(err.value), err.value.witness)
+                        == (str(exc), exc.witness)), (fieldspec, degree)
+            else:
+                assert [s.support for s in thin_decompose(mod)] == want, \
+                    (fieldspec, degree)
+
+
 @pytest.mark.parametrize("fam", families() + higher_degree_families())
 def test_components_of_thin_modules_share_no_rank(fam):
     """With every dim at most one, comparable points of distinct rank-one
@@ -276,11 +385,26 @@ def test_components_of_thin_modules_share_no_rank(fam):
             support = mod.support()
             if not support or max(mod.dims.values()) > 1:
                 continue
-            for comp in _zigzag_components(mod, support, mod.rank):
-                for x in comp.support:
-                    for y in support - comp.support:
+            for comp in reference_components(mod, support)[0]:
+                for x in comp:
+                    for y in support - comp:
                         if _leq(x, y):
                             assert mod.rank(x, y) == 0, (x, y)
+
+
+@pytest.mark.parametrize("fam", families())
+def test_csv_matches_csv_writer(fam):
+    """to_csv writes what csv.writer writes: its fields need no quoting."""
+    for mod in betti_report(fam.to_prism(), 1).modules.values():
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["a", "b", "c", "dim"])
+        for i, j, k in mod.points():
+            writer.writerow([format_rational(mod.time_values[i]),
+                             format_rational(mod.time_values[j]),
+                             format_rational(mod.level_values[k]),
+                             mod.dim((i, j, k))])
+        assert mod.to_csv() == buf.getvalue()
 
 
 def test_module_computations_build_no_slab(monkeypatch):

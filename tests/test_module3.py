@@ -5,8 +5,8 @@ import pytest
 from fampersist.family import (cylinder_family, hat_family,
                                wrinkled_cylinder_family, zigzag_family)
 from fampersist import homology, module3
-from fampersist.homology import induced_rank
-from fampersist.module3 import (ModuleError, ThinRefusal,
+from fampersist.homology import FieldSpec, induced_rank
+from fampersist.module3 import (Module3, ModuleError, ThinRefusal,
                                 betti_report, build_module,
                                 check_indecomposable_sufficient,
                                 finite_subdiagram, thin_decompose)
@@ -227,6 +227,45 @@ class TestThinDecompose:
         mod = build_module(wrinkled_cylinder_family().to_prism(), 0)
         assert len(thin_decompose(mod)) == 2
         assert calls == []
+
+    @pytest.mark.parametrize("degree", (0, 1))
+    def test_reads_each_residual_pair_once(self, monkeypatch, degree):
+        """The walk reads Module3.rank once per adjacent pair of residual
+        points and for nothing else."""
+        mod = build_module(wrinkled_cylinder_family().to_prism(), degree)
+        support = mod.support()
+        top = (0, len(mod.time_values) - 1, len(mod.level_values) - 1)
+        peel = ({x for x in support if mod.rank(x, top)}
+                if max(map(mod.dim, support)) == 2 else set())
+        residual = {x for x in support if mod.dim(x) - (x in peel)}
+        pairs = [(x, y) for x in residual for y in mod.neighbors_up(x)
+                 if y in residual]
+        calls = []
+        rank = Module3.rank
+
+        def counted(self, x, y):
+            calls.append((x, y))
+            return rank(self, x, y)
+
+        monkeypatch.setattr(Module3, "rank", counted)
+        assert len(thin_decompose(mod)) == 2
+        assert sorted(calls) == sorted(pairs)
+
+    def test_rank_zero_edge_inside_a_class_refused(self, monkeypatch):
+        """Every dim is one and every adjacent edge has rank one but
+        (0,0,0) -> (0,1,0), whose ends are joined through (0,0,1) and
+        (0,1,1)."""
+        mod = Module3(degree=0, fieldspec=FieldSpec(),
+                      time_values=[F(0), F(1)], level_values=[F(0), F(1)],
+                      dims={}, cells=[], index=[], bars={})
+        mod.dims = {x: 1 for x in mod.points()}
+        cut = ((0, 0, 0), (0, 1, 0))
+        table = {(x, y): int((x, y) != cut)
+                 for x in mod.points() for y in mod.neighbors_up(x)}
+        monkeypatch.setattr(Module3, "rank", lambda self, x, y: table[x, y])
+        with pytest.raises(ThinRefusal, match="carries rank 0") as err:
+            thin_decompose(mod)
+        assert err.value.witness == cut
 
     def test_hat_refused_with_witness(self):
         mod = build_module(hat_family(2).to_prism(), 0)

@@ -209,6 +209,20 @@ class TestModuleQueriesMatchSlabs:
                 assert (expand(got.to_json_dict())
                         == expand(want.to_json_dict())), (degree, eps)
 
+    def test_levels_are_the_sorted_union(self):
+        """The merged levels equal the sorted set union, over pairs that
+        share some levels and not others."""
+        partial = 0
+        for f, g in (p.values for p in differential_pairs()):
+            mf = build_module(f.to_prism(), 0)
+            mg = build_module(g.to_prism(), 0)
+            levels = check_interleaving_necessary(mf, mg, F(1, 8)).levels
+            union = set(mf.level_values) | set(mg.level_values)
+            assert levels == sorted(union)
+            partial += 0 < len(set(mf.level_values) & set(mg.level_values)) \
+                < len(union)
+        assert partial >= 2
+
     @pytest.mark.parametrize("degree", (0, 1))
     def test_check_reads_curves_not_points(self, monkeypatch, degree):
         """The check reads one rank curve per window and direction from the
