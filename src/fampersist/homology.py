@@ -8,7 +8,10 @@ queries count bars: ``Barcode.rank`` those alive from one stage to a later
 one (in an image barcode, from a subfiltration's stage to the whole's),
 and ``Barcode.rank_curve`` those alive from each stage of one list to
 the stage at the same entry of another, in one pass.  Coefficients stay
-integers mod p throughout, so results are exact.
+integers mod p throughout, so results are exact.  Over GF(2), the default
+field, a column is one ``int`` whose set bits are its rows, so a column
+addition is one XOR and the pivot row the highest set bit; other primes
+keep dict columns of nonzero coefficients.
 
 The reduction reads integers only.  A face index lists cells in
 filtration order, each as its boundary, a tuple of (position in the
@@ -36,7 +39,6 @@ reduces to zero does not depend on the order of the rows.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
@@ -81,9 +83,6 @@ class Barcode:
     # empty boundary, a cleared column or one that reduced to zero).
     zero: bytes = field(default=b"", compare=False, repr=False)
 
-    def add(self, degree: int, birth: int, death):
-        self.bars.setdefault(degree, []).append((birth, death))
-
     def rank(self, degree: int, s: int, t: int) -> int:
         """Rank of the map from stage s into stage t >= s: the bars born
         by stage s that are still alive at stage t."""
@@ -124,6 +123,12 @@ def _reduce_columns(filtration, index, row, zero: bytearray,
     of earlier columns and reduces to zero: its column is cleared, never
     reduced (Chen and Kerber 2011).  A pivot on a row past the members
     clears nothing, since such a cycle may hold later cells.
+
+    Over GF(2) a column is the set of its rows, held as one ``int`` with
+    bit r set for row r: column addition is XOR and the low row is
+    ``bit_length() - 1`` (the Z/2 columns of Bauer, Kerber, Reininghaus
+    and Wagner 2017).  A face enters with ``c & 1``, which is c mod 2 for
+    negative c too.  Other primes keep dict columns of nonzero entries.
     """
     p = fieldspec.characteristic
     n = len(index)
@@ -135,6 +140,34 @@ def _reduce_columns(filtration, index, row, zero: bytearray,
         else:
             zero[j] = 1
     pairs = {}
+    if p == 2:
+        masks = {}  # low row -> reduced column owning it
+        for d in sorted(by_dim, reverse=True):
+            for j in by_dim[d]:
+                if zero[j]:
+                    continue
+                col = 0
+                if row is None:
+                    for g, c in index[j][0]:
+                        if c & 1:
+                            col ^= 1 << g
+                else:
+                    for g, c in index[j][0]:
+                        if c & 1:
+                            col ^= 1 << row[g]
+                while col:
+                    low = col.bit_length() - 1
+                    other = masks.get(low)
+                    if other is None:
+                        masks[low] = col
+                        pairs[j] = low
+                        if low < n:
+                            zero[low] = 1
+                        break
+                    col ^= other
+                else:
+                    zero[j] = 1
+        return pairs
     pivots = {}  # low row -> (reduced column owning it, 1 / its coeff)
     for d in sorted(by_dim, reverse=True):
         for j in by_dim[d]:
@@ -208,23 +241,29 @@ def staged_reduce(filtration: Sequence, index: Sequence,
         zero = bytearray(known)
 
     pairs = _reduce_columns(filtration, index, row, zero, fieldspec)
+    # Cycles by (degree, birth) in order of first appearance, less one
+    # for each that dies; the survivors are the essential bars.
+    cycles = {}
     if sub is None:
-        cycles = Counter((index[g][2], index[g][1])
-                         for g in filtration if g not in pairs)
+        for g in filtration:
+            if g not in pairs:
+                _, b, d = index[g]
+                cycles[d, b] = cycles.get((d, b), 0) + 1
     else:
-        cycles = Counter((d, b) for d, bars in inner.bars.items()
-                         for b, _ in bars)
-    bc = Barcode(zero=bytes(zero) if sub is None else b"")
+        for d, bars in inner.bars.items():
+            for b, _ in bars:
+                cycles[d, b] = cycles.get((d, b), 0) + 1
+    bars = {}
     for death in sorted(pairs):
         low = pairs[death]
         if low < n:
-            _, birth, d = index[low]
-            bc.add(d, birth, index[death][1])
-            cycles[d, birth] -= 1
+            _, b, d = index[low]
+            bars.setdefault(d, []).append((b, index[death][1]))
+            cycles[d, b] -= 1
     for (d, b), count in cycles.items():
-        for _ in range(count):
-            bc.add(d, b, None)
-    return bc
+        if count > 0:
+            bars.setdefault(d, []).extend([(b, None)] * count)
+    return Barcode(bars, zero=bytes(zero) if sub is None else b"")
 
 
 def index_filtration(filtration: Sequence) -> list:

@@ -464,6 +464,14 @@ def check_indecomposable_sufficient(mod: Module3) -> bool:
     top = _top_point(mod)
     if mod.dim(top) != 1:
         return False
-    minimal = [x for x in support
-               if all(mod.dim(y) == 0 for y in mod.neighbors_down(x))]
-    return all(mod.rank(x, top) >= 1 for x in minimal)
+    return all(mod.rank(x, top) >= 1 for x in _minimal_points(mod, support))
+
+
+def _minimal_points(mod: Module3, support) -> List[Point]:
+    """The points of ``support``, in its order, whose lower neighbours, the
+    points of ``neighbors_down``, all have dim 0, read from ``dims``."""
+    dims = mod.dims
+    return [(i, j, k) for i, j, k in support
+            if not (i < j and (dims.get((i + 1, j, k))
+                               or dims.get((i, j - 1, k)))
+                    or k and dims.get((i, j, k - 1)))]

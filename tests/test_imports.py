@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
-module-level private name is read somewhere in the package, and only
-``io`` writes JSON.
+module-level private name is read somewhere in the package, only ``io``
+writes JSON, and importing the CLI does not load ``verify``.
 
 No linter is installed, so this parses each module with ``ast``.  An import
 kept unused on purpose carries ``# noqa: F401`` on its line, and must be
@@ -10,6 +10,9 @@ Names in quoted annotations count as used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -168,3 +171,14 @@ def test_detects_json_writers():
               "f = json.dump\n"
               "json.dumps({})\n")
     assert json_writers(source) == [2, 4, 5]
+
+
+def test_cli_import_leaves_verify_unloaded():
+    """Only ``fampersist verify`` runs the suite, so importing the CLI, as
+    every benchmark job does, neither loads nor compiles ``verify``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fampersist.cli, sys; "
+         "print('fampersist.verify' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -18,6 +18,9 @@ The module reduces the critical cells of one Morse complex of the prism.
 a nested pair must have the same bars of positive length, and
 ``_joint_rank`` the same value on seeded pairs of points; the matching
 must pair cells of one grade at incidence +-1 without a closed V-path.
+Over GF(2), the bit-mask column loop of ``homology._reduce_columns`` must
+give, on the critical cells of every window and every widening in the
+grid, the pairs and zero columns of a left-to-right reference reduction.
 """
 
 import csv
@@ -36,7 +39,8 @@ from fampersist.family import (PLFamily, cylinder_family, hat_family,
 from fampersist import homology, module3
 from fampersist.homology import FieldSpec, betti, induced_rank
 from fampersist.module3 import (ThinRefusal, _join, _joint_rank, _leq,
-                                _top_point, betti_report, build_module,
+                                _minimal_points, _top_point, betti_report,
+                                build_module,
                                 check_indecomposable_sufficient,
                                 finite_subdiagram, thin_decompose)
 from fampersist.rational import format_rational
@@ -46,6 +50,7 @@ from fampersist.verify import run_suite
 from fampersist.simplicial import SimplicialComplex, slab_sublevel
 
 from payload import expand
+from test_reduction_engine import _reference_columns
 
 
 def reference_module(p, degree, fieldspec, levels):
@@ -392,6 +397,19 @@ def test_components_of_thin_modules_share_no_rank(fam):
                             assert mod.rank(x, y) == 0, (x, y)
 
 
+@pytest.mark.parametrize("fam", families() + higher_degree_families())
+def test_minimal_points_match_neighbors_down(fam):
+    """``_minimal_points``, read from ``dims``, lists the support points
+    whose ``neighbors_down`` all have dim 0, in the support's order."""
+    prism = fam.to_prism()
+    for fieldspec in (FieldSpec(2), FieldSpec(3)):
+        for degree, mod in betti_report(prism, 2, fieldspec).modules.items():
+            support = mod.support()
+            want = [x for x in support
+                    if all(mod.dim(y) == 0 for y in mod.neighbors_down(x))]
+            assert _minimal_points(mod, support) == want, (fieldspec, degree)
+
+
 @pytest.mark.parametrize("fam", families())
 def test_csv_matches_csv_writer(fam):
     """to_csv writes what csv.writer writes: its fields need no quoting."""
@@ -494,6 +512,43 @@ def test_morse_engine_matches_simplicial_reference(fam):
                 for degree, m in mods.items():
                     assert _joint_rank(m, x, xp, y) == ref.joint_rank(
                         x, xp, y, degree, fieldspec), (x, xp, y, degree)
+
+
+@pytest.mark.parametrize("fam", families() + higher_degree_families())
+def test_bit_columns_match_reference_reduction(fam):
+    """Over GF(2), on the critical cells of each window w and of each pair
+    (w, w') with w' one step wider in the grid, the engine's pairs equal
+    those of ``_reference_columns`` on the same columns, read mod 2 with
+    the rows ``staged_reduce`` gives them, and the engine marks zero
+    exactly the columns the reference leaves unpaired.  An image reduction
+    starts from the zero record of w''s own reduction, as it does in a
+    module."""
+    fieldspec = FieldSpec(2)
+    mod = build_module(fam.to_prism(), 0, fieldspec)
+    index, n = mod.index, len(mod.index)
+    nt, top = len(mod.time_values), len(mod.level_values) - 1
+    for i, j in mod.windows():
+        for wp in ((i, j), (i - 1, j), (i, j + 1)):
+            if wp[0] < 0 or wp[1] >= nt:
+                continue
+            window = mod._slab((*wp, top))
+            if wp == (i, j):
+                row, known = None, bytes(n)
+            else:
+                row = {g: g + n for g in window}
+                row.update((g, g) for g in mod._slab((i, j, top), window))
+                known = mod.barcode(wp, wp).zero
+            zero = bytearray(known)
+            pairs = homology._reduce_columns(window, index, row, zero,
+                                             fieldspec)
+            columns = [{g if row is None else row[g]: 1
+                        for g, c in index[h][0] if c % 2} for h in window]
+            want = {window[k]: low
+                    for k, low in _reference_columns(columns, 2).items()}
+            assert pairs == want, ((i, j), wp)
+            unpaired = set(window) - set(want)
+            assert zero == bytes(g in unpaired for g in range(n)), \
+                ((i, j), wp)
 
 
 def has_closed_v_path(index, partner):

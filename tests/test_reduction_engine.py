@@ -82,16 +82,17 @@ def reference_reduce(filtration, fieldspec, sub=None):
     else:
         cycles = Counter((n, b) for n, bars in sub[1].bars.items()
                          for b, _ in bars)
-    bc = Barcode()
+    bars = {}
     for death, r in pairs.items():
         if r < n_sub:
             birth = order[r]
-            bc.add(dims[birth], stages[birth], stages[death])
+            bars.setdefault(dims[birth], []).append(
+                (stages[birth], stages[death]))
             cycles[dims[birth], stages[birth]] -= 1
     for (n, b), count in cycles.items():
         for _ in range(count):
-            bc.add(n, b, None)
-    return bc
+            bars.setdefault(n, []).append((b, None))
+    return Barcode(bars)
 
 
 def reference_zero_columns(filtration, p):
